@@ -9,7 +9,7 @@ Poissonian surrogate bands.
 
 from .allan import (AfCurve, CountingProcess, DP_CUTOFF, PowerLawFit, af_curve,
                     allan_factor, counting_process, default_fit_range,
-                    default_tau_grid, departure, fit_power_law)
+                    departure, fit_power_law)
 from .ingest import (ParseError, SampledSeries, StationMeta, parse_series,
                      parse_station_meta, write_series)
 from .runs import (ExtremeEvent, MarkedPointProcess, ThresholdSpec,
@@ -18,9 +18,8 @@ from .runs import (ExtremeEvent, MarkedPointProcess, ThresholdSpec,
 from .stats import (RunLengthDensity, average_density, coefficient_of_variation,
                     interevent_times, local_coefficient_of_variation,
                     mean_interevent_time, run_length_density)
-from .surrogates import (AfBand, ScalarBand, SurrogateConfig, af_band,
-                         cell_bands, poisson_surrogate, scalar_band,
-                         surrogate_rng)
+from .surrogates import (AfBand, ScalarBand, SurrogateConfig, cell_bands,
+                         poisson_surrogate, surrogate_rng)
 from .pipeline import (AnalysisConfig, TauGridSpec, derive_cell_seed,
                        run_batch, run_station)
 from .synth import SynthSpec, generate, generate_series
@@ -32,15 +31,15 @@ __all__ = [
     "ExtremeEvent", "MarkedPointProcess", "ParseError", "PowerLawFit",
     "RunLengthDensity", "SampledSeries", "ScalarBand", "StationMeta",
     "SurrogateConfig", "SynthSpec", "TauGridSpec", "ThresholdSpec",
-    "af_band", "af_curve", "allan_factor",
+    "af_curve", "allan_factor",
     "average_density", "cell_bands", "coefficient_of_variation",
     "compute_threshold", "counting_process", "default_fit_range",
-    "default_tau_grid", "departure", "derive_cell_seed", "extract_runs",
+    "departure", "derive_cell_seed", "extract_runs",
     "filter_by_min_length",
     "fit_power_law", "generate", "generate_series", "interevent_times",
     "linear_quantile", "local_coefficient_of_variation",
     "mean_interevent_time", "parse_series", "parse_station_meta",
     "poisson_surrogate", "read_events", "run_batch", "run_length_density",
-    "run_station", "scalar_band", "surrogate_rng", "write_events",
+    "run_station", "surrogate_rng", "write_events",
     "write_series",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "allan_factor",
     "counting_process",
     "default_fit_range",
-    "default_tau_grid",
     "departure",
     "fit_power_law",
 ]
@@ -97,8 +96,10 @@ def allan_factor(cp: CountingProcess) -> float:
     mean = counts.mean()
     if mean == 0:
         raise ValueError("mean count is zero; Allan factor undefined")
-    d = np.diff(counts).astype(float)
-    return float((d @ d / (counts.size - 1)) / (2.0 * mean))
+    # Integer dot: exact, and unlike a float ``d @ d`` it does not
+    # dispatch to multithreaded BLAS.
+    d = np.diff(counts)
+    return float((np.dot(d, d) / (counts.size - 1)) / (2.0 * mean))
 
 
 def _af_sparse(k: np.ndarray, n_windows: int) -> float:
@@ -126,9 +127,9 @@ def _af_sparse(k: np.ndarray, n_windows: int) -> float:
 
 
 def _af_dense(k: np.ndarray, n_windows: int) -> float:
-    counts = np.bincount(k, minlength=n_windows).astype(float)
+    counts = np.bincount(k, minlength=n_windows)
     d = np.diff(counts)
-    return (d @ d / (n_windows - 1)) / (2.0 * counts.mean())
+    return (np.dot(d, d) / (n_windows - 1)) / (2.0 * counts.mean())
 
 
 def _af_at_tau(times: np.ndarray, window_start: float, duration: float,
@@ -188,19 +189,6 @@ class AfCurve:
     @property
     def n_defined(self) -> int:
         return int(self.defined.sum())
-
-
-def default_tau_grid(pp: MarkedPointProcess, n_points: int = 60) -> np.ndarray:
-    """Geometric tau grid from twice the sampling step to a tenth of the span."""
-    if pp.dt <= 0:
-        raise ValueError("process has no sampling step; supply an explicit grid")
-    lo = 2.0 * pp.dt
-    hi = pp.duration / 10.0
-    if not hi > lo:
-        raise ValueError("observation window too short for the default grid")
-    if n_points < 2:
-        raise ValueError("need at least 2 grid points")
-    return np.geomspace(lo, hi, n_points)
 
 
 def af_curve(pp: MarkedPointProcess, taus: np.ndarray) -> AfCurve:

@@ -20,13 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .allan import af_curve, departure, fit_power_law
+from .allan import DP_CUTOFF, af_curve, departure, fit_power_law
 from .ingest import ParseError, parse_series, write_series
-from .pipeline import AnalysisConfig, run_batch, run_station, _write_json
+from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
+    _write_json
 from .runs import read_events, write_events
 from .stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
-from .surrogates import SurrogateConfig, af_band
+from .surrogates import SurrogateConfig, cell_bands
 from .synth import KINDS, SynthSpec, generate, generate_series
 
 __all__ = ["main"]
@@ -62,22 +63,9 @@ def _add_analysis_flags(parser: _Parser) -> None:
     parser.add_argument("--workers", type=int, metavar="N")
 
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "percentiles": "percentiles",
-    "min_run_lengths": "min_run_lengths",
-    "tau_lo": "tau_lo",
-    "tau_hi": "tau_hi",
-    "tau_points": "tau_points",
-    "n_surrogates": "n_surrogates",
-    "band_lo": "band_lo",
-    "band_hi": "band_hi",
-    "dp_cutoff": "dp_cutoff",
-    "min_events": "min_events",
-    "threshold_floor": "threshold_floor",
-    "dt": "dt",
-    "workers": "workers",
-}
+_CONFIG_FLAGS = ("seed", "percentiles", "min_run_lengths", "tau_lo", "tau_hi",
+                 "tau_points", "n_surrogates", "band_lo", "band_hi",
+                 "dp_cutoff", "min_events", "threshold_floor", "dt", "workers")
 
 
 def _build_config(parser: _Parser, args) -> AnalysisConfig:
@@ -89,8 +77,8 @@ def _build_config(parser: _Parser, args) -> AnalysisConfig:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(mapping, dict):
             parser.error("config file must hold a JSON object")
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr)
+    for key in _CONFIG_FLAGS:
+        value = getattr(args, key)
         if value is not None:
             mapping[key] = value
     if args.no_fit:
@@ -183,20 +171,20 @@ def _cmd_synth(parser: _Parser, args) -> int:
 
 def _cmd_af(parser: _Parser, args) -> int:
     pp = read_events(args.events)
-    if args.tau_lo is not None and args.tau_hi is not None:
-        taus = np.geomspace(args.tau_lo, args.tau_hi, args.tau_points)
-    elif pp.dt > 0:
-        duration = pp.window_end - pp.window_start
-        taus = np.geomspace(2.0 * pp.dt, duration / 10.0, args.tau_points)
-    else:
+    if args.tau_lo is None and not pp.dt > 0:
         parser.error("events carry no sampling step; pass --tau-lo/--tau-hi")
+    try:
+        taus = TauGridSpec(args.tau_lo, args.tau_hi,
+                           args.tau_points).resolve(pp.dt, pp.duration)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.n_surrogates > 0 and args.seed is None:
         parser.error("--seed is required when --n-surrogates > 0")
     if args.n_surrogates == 1:
         parser.error("--n-surrogates must be 0 or at least 2")
 
     curve = af_curve(pp, taus)
-    if pp.n_events >= 2:
+    if pp.n_events >= 3:
         intervals = interevent_times(pp)
         print(f"n_events={pp.n_events} "
               f"cv={coefficient_of_variation(intervals):.6g} "
@@ -207,10 +195,10 @@ def _cmd_af(parser: _Parser, args) -> int:
     header = ["tau_seconds", "af"]
     columns = [taus.tolist(), curve.af.tolist()]
     if args.n_surrogates > 0:
-        band = af_band(pp, taus,
-                       SurrogateConfig(seed=args.seed,
-                                       n_surrogates=args.n_surrogates,
-                                       band=(args.band_lo, args.band_hi)))
+        band = cell_bands(pp, taus,
+                          SurrogateConfig(seed=args.seed,
+                                          n_surrogates=args.n_surrogates,
+                                          band=(args.band_lo, args.band_hi)))[2]
         dp = dict(departure(curve, band, args.dp_cutoff))
         header += ["band_lo", "band_hi", "dp"]
         columns += [band.lo.tolist(), band.hi.tolist(),
@@ -301,7 +289,7 @@ def _make_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--band-lo", type=float, default=0.025)
     p.add_argument("--band-hi", type=float, default=0.975)
-    p.add_argument("--dp-cutoff", type=float, default=12000.0,
+    p.add_argument("--dp-cutoff", type=float, default=DP_CUTOFF,
                    metavar="SECONDS")
     p.add_argument("--no-fit", action="store_true")
     p.add_argument("--out", metavar="FILE")

@@ -66,12 +66,14 @@ class TauGridSpec:
             raise ValueError("tau grid hi must be >= lo")
 
     def resolve(self, dt: float, duration: float) -> np.ndarray:
+        """The grid for a process sampled every ``dt`` seconds over
+        ``duration`` seconds."""
+        if self.lo is None and not dt > 0:
+            raise ValueError("process has no sampling step; supply an explicit grid")
         lo = 2.0 * dt if self.lo is None else self.lo
         hi = duration / 10.0 if self.hi is None else self.hi
         if not hi >= lo:
             raise ValueError("resolved tau grid is empty (hi < lo)")
-        if self.points == 1 or hi == lo:
-            return np.array([lo]) if self.points == 1 else np.geomspace(lo, hi, self.points)
         return np.geomspace(lo, hi, self.points)
 
 
@@ -369,11 +371,11 @@ def _run_cells(tasks: list[dict], workers: int, executor=None) -> list[dict]:
 
 
 def _station_cells(series: SampledSeries, config: AnalysisConfig,
-                   executor=None) -> tuple[dict, dict, list[dict]]:
+                   executor=None) -> tuple[dict, dict, dict, list[dict]]:
     """Extract runs and evaluate the full cell matrix of one station.
 
-    Returns (thresholds by percentile, unfiltered densities by
-    percentile, cell payloads sorted by (percentile, min length)).
+    Returns (thresholds, unfiltered processes and their densities, each
+    by percentile, and cell payloads sorted by (percentile, min length)).
     """
     taus = config.tau_grid.resolve(series.dt, series.n_samples * series.dt)
     thresholds: dict[float, object] = {}
@@ -406,7 +408,7 @@ def _station_cells(series: SampledSeries, config: AnalysisConfig,
                 "fit": config.fit,
             })
     payloads = _run_cells(tasks, _effective_workers(config), executor)
-    return thresholds, densities, payloads
+    return thresholds, processes, densities, payloads
 
 
 def run_station(series: SampledSeries, meta: StationMeta | None,
@@ -421,15 +423,16 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     Returns the station result: the summary dict plus the in-memory
     pieces a batch needs for cross-station products.
     """
-    thresholds, densities, payloads = _station_cells(series, config, executor)
+    thresholds, processes, densities, payloads = _station_cells(series, config,
+                                                                executor)
     height = meta.height if meta is not None else None
 
     station_dir = Path(config.output_dir) / series.station_id
     station_dir.mkdir(parents=True, exist_ok=True)
 
     for pct in sorted(config.percentiles):
-        pp = extract_runs(series, thresholds[pct])
-        write_events(pp, station_dir / f"events_{percentile_label(pct)}.csv")
+        write_events(processes[pct],
+                     station_dir / f"events_{percentile_label(pct)}.csv")
 
     cells_index = []
     for payload in payloads:

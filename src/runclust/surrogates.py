@@ -7,6 +7,10 @@ its count.  Comparing an observed statistic against the band spanned by
 many surrogates turns it into a significance test: values above the
 band mean clustering, values below mean quasi-periodicity.
 
+Every band comes from one sweep, :func:`cell_bands`, which evaluates
+Cv, Lv and the Allan factor on each surrogate in turn; with an empty
+tau grid it returns only the Cv and Lv bands.
+
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
 fully deterministic, platform-independent, and independent across
@@ -29,10 +33,8 @@ __all__ = [
     "AfBand",
     "ScalarBand",
     "SurrogateConfig",
-    "af_band",
     "cell_bands",
     "poisson_surrogate",
-    "scalar_band",
     "surrogate_rng",
 ]
 
@@ -67,6 +69,20 @@ def surrogate_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _surrogate_times(pp: MarkedPointProcess, seed: int,
+                     stream: int) -> tuple[np.random.Generator, np.ndarray]:
+    # Sorted uniform event times of surrogate ``stream``, with the
+    # generator left where the times end so marks can be drawn after.
+    rng = surrogate_rng(seed, stream)
+    span = pp.window_end - pp.window_start
+    times = np.sort(pp.window_start + rng.random(pp.n_events) * span)
+    # Ties have probability ~n^2/2^53 but would break strict monotonicity;
+    # redraw from the same substream until clean.
+    while np.any(np.diff(times) == 0):
+        times = np.sort(pp.window_start + rng.random(pp.n_events) * span)
+    return rng, times
+
+
 def poisson_surrogate(pp: MarkedPointProcess, seed: int,
                       stream: int = 0) -> MarkedPointProcess:
     """One Poissonian surrogate of a marked point process.
@@ -76,16 +92,9 @@ def poisson_surrogate(pp: MarkedPointProcess, seed: int,
     permutation of the original marks.  Deterministic given
     ``(seed, stream)``.
     """
-    n = pp.n_events
-    if n < 2:
+    if pp.n_events < 2:
         raise ValueError("need at least 2 events to build a surrogate")
-    rng = surrogate_rng(seed, stream)
-    span = pp.window_end - pp.window_start
-    times = np.sort(pp.window_start + rng.random(n) * span)
-    # Ties have probability ~n^2/2^53 but would break strict monotonicity;
-    # redraw from the same substream until clean.
-    while np.any(np.diff(times) == 0):
-        times = np.sort(pp.window_start + rng.random(n) * span)
+    rng, times = _surrogate_times(pp, seed, stream)
     lengths = rng.permutation(pp.lengths)
     return dataclasses.replace(pp, times=times, lengths=lengths, dt=0.0)
 
@@ -108,12 +117,6 @@ class ScalarBand:
     band: tuple[float, float]
 
 
-_SCALAR_STATISTICS = {
-    "cv": coefficient_of_variation,
-    "lv": local_coefficient_of_variation,
-}
-
-
 def _classify(observed: float, lo: float, hi: float) -> str:
     if observed > hi:
         return "clustered"
@@ -131,29 +134,6 @@ def _scalar_band_from_samples(statistic: str, observed: float,
                       classification=_classify(observed, lo, hi),
                       n_surrogates=config.n_surrogates, seed=config.seed,
                       band=config.band)
-
-
-def scalar_band(pp: MarkedPointProcess, statistic: str,
-                config: SurrogateConfig) -> ScalarBand:
-    """Surrogate confidence band for ``cv`` or ``lv``.
-
-    Evaluates the statistic on every surrogate and takes the configured
-    quantiles with the same rank-interpolation estimator used for
-    thresholds.  Needs at least 3 events so the statistic is defined on
-    each surrogate.
-    """
-    if statistic not in _SCALAR_STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; expected 'cv' or 'lv'")
-    if pp.n_events < 3:
-        raise ValueError("need at least 3 events for a scalar band")
-    fn = _SCALAR_STATISTICS[statistic]
-    observed = fn(interevent_times(pp))
-
-    samples = np.empty(config.n_surrogates)
-    for i in range(config.n_surrogates):
-        surr = poisson_surrogate(pp, config.seed, stream=i)
-        samples[i] = fn(np.diff(surr.times))
-    return _scalar_band_from_samples(statistic, observed, samples, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,27 +168,6 @@ class AfBand:
             object.__setattr__(self, name, arr)
 
 
-def af_band(pp: MarkedPointProcess, taus: np.ndarray,
-            config: SurrogateConfig) -> AfBand:
-    """Surrogate confidence band for the Allan-factor curve.
-
-    Each surrogate contributes its factor at every tau where defined;
-    undefined surrogate values contribute no sample at that tau rather
-    than a placeholder.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if pp.n_events < 2:
-        raise ValueError("need at least 2 events for an Allan-factor band")
-
-    values = np.full((config.n_surrogates, taus.size), np.nan)
-    for i in range(config.n_surrogates):
-        surr = poisson_surrogate(pp, config.seed, stream=i)
-        for j, tau in enumerate(taus):
-            values[i, j], _ = _af_at_tau(surr.times, surr.window_start,
-                                         surr.duration, tau)
-    return _af_band_from_values(taus, values, config)
-
-
 def _af_band_from_values(taus: np.ndarray, values: np.ndarray,
                          config: SurrogateConfig) -> AfBand:
     lo = np.full(taus.size, np.nan)
@@ -227,13 +186,20 @@ def _af_band_from_values(taus: np.ndarray, values: np.ndarray,
 
 
 def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
-               config: SurrogateConfig) -> tuple[ScalarBand, ScalarBand, AfBand]:
+               config: SurrogateConfig
+               ) -> tuple[ScalarBand, ScalarBand] | tuple[ScalarBand, ScalarBand, AfBand]:
     """Cv band, Lv band and Allan-factor band from one surrogate sweep.
 
-    Surrogate i is stream i of the configured seed, exactly as in
-    :func:`scalar_band` and :func:`af_band`, so the three results are
-    identical to three separate calls; each surrogate is just generated
-    once instead of three times.
+    Surrogate i is stream i of the configured seed, with the same times
+    as ``poisson_surrogate(pp, config.seed, i)``.  Cv and Lv bands take
+    the configured quantiles of the surrogate values with the same
+    rank-interpolation estimator used for thresholds.  At each tau,
+    surrogates whose Allan factor is undefined contribute no sample
+    rather than a placeholder.  Needs at least 3 events so Cv and Lv
+    are defined on every surrogate.
+
+    Returns ``(cv_band, lv_band, af_band)``; with an empty ``taus`` the
+    Allan factor is skipped and only ``(cv_band, lv_band)`` is returned.
     """
     if pp.n_events < 3:
         raise ValueError("need at least 3 events for scalar bands")
@@ -246,13 +212,15 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     lv_samples = np.empty(config.n_surrogates)
     values = np.full((config.n_surrogates, taus.size), np.nan)
     for i in range(config.n_surrogates):
-        surr = poisson_surrogate(pp, config.seed, stream=i)
-        d = np.diff(surr.times)
+        _, times = _surrogate_times(pp, config.seed, i)
+        d = np.diff(times)
         cv_samples[i] = coefficient_of_variation(d)
         lv_samples[i] = local_coefficient_of_variation(d)
         for j, tau in enumerate(taus):
-            values[i, j], _ = _af_at_tau(surr.times, surr.window_start,
-                                         surr.duration, tau)
-    return (_scalar_band_from_samples("cv", obs_cv, cv_samples, config),
-            _scalar_band_from_samples("lv", obs_lv, lv_samples, config),
-            _af_band_from_values(taus, values, config))
+            values[i, j], _ = _af_at_tau(times, pp.window_start,
+                                         pp.duration, tau)
+    bands = (_scalar_band_from_samples("cv", obs_cv, cv_samples, config),
+             _scalar_band_from_samples("lv", obs_lv, lv_samples, config))
+    if taus.size == 0:
+        return bands
+    return bands + (_af_band_from_values(taus, values, config),)

@@ -22,12 +22,12 @@ import numpy as np
 
 from runclust import (AfCurve, AnalysisConfig, CountingProcess,
                       MarkedPointProcess, SampledSeries, SurrogateConfig,
-                      SynthSpec, ThresholdSpec, af_band, af_curve,
-                      allan_factor, coefficient_of_variation,
+                      SynthSpec, ThresholdSpec, af_curve, allan_factor,
+                      cell_bands, coefficient_of_variation,
                       compute_threshold, extract_runs, fit_power_law,
                       generate, generate_series, interevent_times,
                       local_coefficient_of_variation, run_station,
-                      scalar_band, write_series)
+                      write_series)
 from runclust.cli import main
 
 T0 = datetime(2010, 1, 1, tzinfo=timezone.utc)
@@ -101,14 +101,15 @@ def test_poisson_calibration(capsys):
         cvs.append(coefficient_of_variation(intervals))
         lvs.append(local_coefficient_of_variation(intervals))
 
-        band = scalar_band(pp, "cv", SurrogateConfig(seed=10_000 + i,
-                                                     n_surrogates=1000))
+        band, _ = cell_bands(pp, np.empty(0),
+                             SurrogateConfig(seed=10_000 + i,
+                                             n_surrogates=1000))
         rejections += band.classification != "poissonian"
 
         curve = af_curve(pp, taus)
         assert curve.n_defined == taus.size
-        ab = af_band(pp, taus, SurrogateConfig(seed=10_000 + i,
-                                               n_surrogates=100))
+        _, _, ab = cell_bands(pp, taus, SurrogateConfig(seed=10_000 + i,
+                                                        n_surrogates=100))
         fracs.append(((ab.lo <= curve.af) & (curve.af <= ab.hi)).mean())
     elapsed = time.perf_counter() - t0
 
@@ -142,8 +143,8 @@ def test_structure_discrimination(capsys):
     periodic_iv = interevent_times(periodic)
     periodic_cv = coefficient_of_variation(periodic_iv)
     periodic_lv = local_coefficient_of_variation(periodic_iv)
-    band = scalar_band(periodic, "cv",
-                       SurrogateConfig(seed=303, n_surrogates=1000))
+    band, _ = cell_bands(periodic, np.empty(0),
+                         SurrogateConfig(seed=303, n_surrogates=1000))
 
     ok = (intervals.size >= 10_000 and mixed_cv > 1.5 and mixed_lv < 0.3
           and periodic_cv == 0.0 and periodic_lv == 0.0

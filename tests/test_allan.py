@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from runclust import AfCurve, CountingProcess, DP_CUTOFF, MarkedPointProcess, \
-    af_curve, allan_factor, counting_process, default_fit_range, \
-    default_tau_grid, departure, fit_power_law
+    TauGridSpec, af_curve, allan_factor, counting_process, default_fit_range, \
+    departure, fit_power_law
 from runclust.surrogates import AfBand, surrogate_rng
 from runclust.synth import SynthSpec, generate
 
@@ -147,14 +147,14 @@ def test_grid_doubling_consistency():
 def test_default_tau_grid():
     pp = MarkedPointProcess(times=[0.0, 1200.0], lengths=[1, 1],
                             window_start=0.0, window_end=600_000.0, dt=600.0)
-    grid = default_tau_grid(pp)
+    grid = TauGridSpec().resolve(pp.dt, pp.duration)
     assert grid.size == 60
     assert abs(grid[0] - 1200.0) < 1e-9
     assert abs(grid[-1] - 60_000.0) < 1e-9
 
     continuous = make_pp([0.0, 1200.0], 600_000.0)
     with pytest.raises(ValueError, match="no sampling step"):
-        default_tau_grid(continuous)
+        TauGridSpec().resolve(continuous.dt, continuous.duration)
 
 
 def test_fit_power_law_exact_recovery():

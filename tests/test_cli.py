@@ -239,10 +239,40 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
                 ["--n-surrogates", "1", "--seed", "4"]) == 1
     # events from synth carry no sampling step, so the grid is mandatory
     assert call(["af", str(events)]) == 1
+    assert call(["af", str(events), "--tau-lo", "1200",
+                 "--tau-points", "0"]) == 1
+    assert call(["af", str(events), "--tau-lo", "60000",
+                 "--tau-hi", "1200"]) == 1
     err = capsys.readouterr().err
     assert "--seed is required" in err
     assert "must be 0 or at least 2" in err
     assert "events carry no sampling step" in err
+    assert "at least 1 point" in err
+    assert "hi must be >= lo" in err
+
+
+def test_af_two_events_and_lone_tau_lo(tmp_path, capsys):
+    pair = MarkedPointProcess(times=np.array([1200.0, 90000.0]),
+                              lengths=np.array([1, 3]),
+                              window_start=0.0, window_end=6.0e5, dt=600.0,
+                              station_id="pair", threshold=None,
+                              gap_fraction=0.0)
+    events = tmp_path / "pair.csv"
+    write_events(pair, events)
+    # A lone --tau-lo moves the first tau; the top stays a tenth of the span.
+    code = call(["af", str(events), "--tau-lo", "5000", "--tau-points", "4"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "n_events=2 cv=nan lv=nan"
+    rows = out[out.index("tau_seconds,af") + 1:]
+    taus = [float(row.split(",")[0]) for row in rows]
+    assert taus[0] == 5000.0
+    assert abs(taus[-1] - 6.0e4) < 1e-6
+    assert all(row.split(",")[1] != "" for row in rows)
+
+    # Cv and Lv bands need a third event.
+    assert call(["af", str(events), "--n-surrogates", "8", "--seed", "1"]) == 2
+    assert "at least 3 events" in capsys.readouterr().err
 
 
 def test_af_missing_sidecar_exits_2(tmp_path, capsys):

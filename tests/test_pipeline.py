@@ -63,6 +63,12 @@ def test_tau_grid_spec():
     with pytest.raises(ValueError, match="empty"):
         TauGridSpec(hi=600.0).resolve(600.0, 6.0e6)
 
+    single = TauGridSpec(lo=5000.0, hi=9000.0, points=1).resolve(600.0, 6.0e6)
+    assert single.tolist() == [5000.0]
+    with pytest.raises(ValueError, match="no sampling step"):
+        TauGridSpec().resolve(0.0, 6.0e5)
+    assert TauGridSpec(lo=1200.0).resolve(0.0, 6.0e5)[-1] == pytest.approx(6.0e4)
+
 
 def test_analysis_config_validation(tmp_path):
     with pytest.raises(ValueError, match="percentile"):

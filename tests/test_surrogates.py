@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from runclust import MarkedPointProcess, SurrogateConfig, af_band, cell_bands, \
-    linear_quantile, poisson_surrogate, scalar_band, surrogate_rng
+from runclust import MarkedPointProcess, SurrogateConfig, allan_factor, \
+    cell_bands, counting_process, linear_quantile, poisson_surrogate, \
+    surrogate_rng
 from runclust.stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
 from runclust.synth import SynthSpec, generate
+
+
+NO_TAUS = np.empty(0)
 
 
 def make_pp(seed=83, n=500, window=1e6, mark_q=0.4):
@@ -58,7 +62,7 @@ def test_surrogate_cv_distribution_mean_near_one():
 def test_scalar_band_matches_quantile_rule():
     pp = make_pp(n=80)
     config = SurrogateConfig(seed=11, n_surrogates=64)
-    band = scalar_band(pp, "lv", config)
+    _, band = cell_bands(pp, NO_TAUS, config)
 
     samples = np.empty(64)
     for i in range(64):
@@ -77,40 +81,40 @@ def test_scalar_band_classifications():
                                        in_cluster_rate=0.05,
                                        mean_cluster_size=8.0,
                                        window=1e6, seed=89))
-    assert scalar_band(bursty, "cv", config).classification == "clustered"
+    cv_band, _ = cell_bands(bursty, NO_TAUS, config)
+    assert cv_band.classification == "clustered"
 
     periodic = generate(SynthSpec.periodic(period=3600.0, window=1e6, seed=1))
-    band = scalar_band(periodic, "cv", config)
+    band, _ = cell_bands(periodic, NO_TAUS, config)
     assert band.observed == 0.0
     assert band.classification == "quasi-periodic"
 
     poisson = generate(SynthSpec.poisson(rate=5e-4, window=1e6, seed=97))
-    assert scalar_band(poisson, "cv", config).classification == "poissonian"
-    assert scalar_band(poisson, "lv", config).classification == "poissonian"
+    cv_band, lv_band = cell_bands(poisson, NO_TAUS, config)
+    assert cv_band.classification == "poissonian"
+    assert lv_band.classification == "poissonian"
 
 
 def test_scalar_band_validation():
     pp = make_pp(n=2)
     config = SurrogateConfig(seed=11, n_surrogates=8)
     with pytest.raises(ValueError, match="at least 3 events"):
-        scalar_band(pp, "cv", config)
-    with pytest.raises(ValueError, match="unknown statistic"):
-        scalar_band(make_pp(n=10), "af", config)
+        cell_bands(pp, NO_TAUS, config)
 
 
 def test_band_widening_never_narrows():
     pp = make_pp(n=60)
-    narrow = scalar_band(pp, "cv", SurrogateConfig(seed=3, n_surrogates=100,
-                                                   band=(0.1, 0.9)))
-    wide = scalar_band(pp, "cv", SurrogateConfig(seed=3, n_surrogates=100,
-                                                 band=(0.025, 0.975)))
+    narrow, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+        seed=3, n_surrogates=100, band=(0.1, 0.9)))
+    wide, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+        seed=3, n_surrogates=100, band=(0.025, 0.975)))
     assert wide.lo <= narrow.lo and wide.hi >= narrow.hi
 
 
 def test_two_surrogate_band_follows_rank_rule():
     pp = make_pp(n=40)
     config = SurrogateConfig(seed=5, n_surrogates=2)
-    band = scalar_band(pp, "cv", config)
+    band, _ = cell_bands(pp, NO_TAUS, config)
     samples = np.sort([coefficient_of_variation(
         np.diff(poisson_surrogate(pp, 5, stream=i).times)) for i in range(2)])
     # One-based rank p*(n-1)+1 with n=2 interpolates just inside min/max.
@@ -121,7 +125,7 @@ def test_two_surrogate_band_follows_rank_rule():
 def test_af_band_straddles_one():
     pp = make_pp()
     taus = np.geomspace(2e3, 1e5, 15)
-    band = af_band(pp, taus, SurrogateConfig(seed=13, n_surrogates=200))
+    _, _, band = cell_bands(pp, taus, SurrogateConfig(seed=13, n_surrogates=200))
     assert np.all(band.n_samples == 200)
     assert np.all(band.lo < 1.0) and np.all(band.hi > 1.0)
     assert np.all(band.lo <= band.hi)
@@ -131,22 +135,37 @@ def test_af_band_undefined_taus_report_zero_samples():
     pp = make_pp(n=50)
     # Above half the window no surrogate has two complete counting windows.
     taus = np.array([1e4, 6e5])
-    band = af_band(pp, taus, SurrogateConfig(seed=13, n_surrogates=16))
+    _, _, band = cell_bands(pp, taus, SurrogateConfig(seed=13, n_surrogates=16))
     assert band.n_samples.tolist() == [16, 0]
     assert np.isnan(band.lo[1]) and np.isnan(band.hi[1])
 
 
-def test_cell_bands_matches_separate_calls():
+def test_cell_bands_golden():
+    # Values pinned from the sweep as first written, which built a full
+    # poisson_surrogate per stream; the bands must not move.
     pp = make_pp(n=120)
     taus = np.geomspace(5e3, 1e5, 8)
     config = SurrogateConfig(seed=17, n_surrogates=50)
     cv_band, lv_band, curve_band = cell_bands(pp, taus, config)
-    assert cv_band == scalar_band(pp, "cv", config)
-    assert lv_band == scalar_band(pp, "lv", config)
-    separate = af_band(pp, taus, config)
-    assert np.array_equal(curve_band.lo, separate.lo, equal_nan=True)
-    assert np.array_equal(curve_band.hi, separate.hi, equal_nan=True)
-    assert np.array_equal(curve_band.n_samples, separate.n_samples)
+    assert (cv_band.lo, cv_band.hi) == (0.8244780529439291, 1.1851851529590018)
+    assert (lv_band.lo, lv_band.hi) == (0.8497284205073998, 1.1714822491762)
+    assert curve_band.lo.tolist() == [
+        0.8207705192629816, 0.7041666666666667, 0.6573943831157132,
+        0.5069282067817711, 0.5413020581113802, 0.5089138232457198,
+        0.330829326923077, 0.3888888888888889]
+    assert curve_band.hi.tolist() == [
+        1.2306323283082077, 1.2469880490956073, 1.2761162296243798,
+        1.4110725308641974, 1.6016785714285715, 1.91005874422188,
+        1.8590551605257486, 2.004861111111111]
+    assert curve_band.n_samples.tolist() == [50] * 8
+
+    # Each band edge is the quantile of the reference Allan factor over
+    # the public surrogates, stream by stream.
+    surrogates = [poisson_surrogate(pp, 17, stream=i) for i in range(50)]
+    for j, tau in enumerate(taus):
+        values = [allan_factor(counting_process(s, tau)) for s in surrogates]
+        assert curve_band.lo[j] == linear_quantile(values, 0.025)
+        assert curve_band.hi[j] == linear_quantile(values, 0.975)
 
 
 def test_surrogate_config_validation():
