@@ -102,56 +102,57 @@ def allan_factor(cp: CountingProcess) -> float:
     return float((np.dot(d, d) / (counts.size - 1)) / (2.0 * mean))
 
 
-def _af_sparse(k: np.ndarray, n_windows: int) -> float:
-    # Exact Allan factor from sorted window indices without materialising
-    # the dense count vector: only windows adjacent to an occupied one
-    # contribute to the squared-difference sum.
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    kk = k[starts]
-    counts = np.diff(np.append(starts, k.size)).astype(float)
-
-    adjacent = kk[1:] == kk[:-1] + 1
-    num = ((counts[1:] - counts[:-1])[adjacent] ** 2).sum()
-
-    left_edge = np.empty(kk.size, dtype=bool)
-    left_edge[0] = True
-    left_edge[1:] = ~adjacent
-    num += (counts[left_edge & (kk >= 1)] ** 2).sum()
-
-    right_edge = np.empty(kk.size, dtype=bool)
-    right_edge[-1] = True
-    right_edge[:-1] = ~adjacent
-    num += (counts[right_edge & (kk <= n_windows - 2)] ** 2).sum()
-
-    return (num / (n_windows - 1)) / (2.0 * counts.sum() / n_windows)
+def _af_from_windows(k: np.ndarray, n_windows: int) -> float:
+    # sum (c[i+1]-c[i])^2 == 2*(sum c^2 - sum c[i]*c[i+1]) - c[0]^2 - c[W-1]^2
+    # needs only the occupied windows; int64 dots are exact and skip BLAS.
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    occupied = k[starts]
+    counts = np.diff(np.append(starts, k.size))
+    adjacent = occupied[1:] == occupied[:-1] + 1
+    num = 2 * (np.dot(counts, counts)
+               - np.dot(counts[:-1][adjacent], counts[1:][adjacent]))
+    if occupied[0] == 0:
+        num -= counts[0] * counts[0]
+    if occupied[-1] == n_windows - 1:
+        num -= counts[-1] * counts[-1]
+    return (num / (n_windows - 1)) / (2.0 * k.size / n_windows)
 
 
-def _af_dense(k: np.ndarray, n_windows: int) -> float:
-    counts = np.bincount(k, minlength=n_windows)
-    d = np.diff(counts)
-    return (np.dot(d, d) / (n_windows - 1)) / (2.0 * counts.mean())
+def _af_grid(times: np.ndarray, window_start: float, duration: float,
+             taus: np.ndarray) -> tuple[np.ndarray, dict[float, str]]:
+    """Allan factor at every tau of a grid from sorted event times.
 
-
-def _af_at_tau(times: np.ndarray, window_start: float, duration: float,
-               tau: float) -> tuple[float, str | None]:
-    """Allan factor at one tau from sorted event times.
-
-    Returns ``(value, None)`` or ``(nan, reason)`` when undefined: the
-    window must hold two complete counting windows and at least two
-    events must fall inside them (a lone event has no count structure
-    to difference).
+    Returns the values and the reason for every undefined (NaN) point,
+    keyed by tau: the window must hold two complete counting windows
+    and at least two events must fall inside them (a lone event has no
+    count structure to difference).
     """
-    n_windows = int(duration // tau)
-    if n_windows < 2:
-        return np.nan, "fewer than two complete counting windows"
-    k = ((times - window_start) / tau).astype(np.int64)
-    k = k[: np.searchsorted(k, n_windows, side="left")]
-    if k.size < 2:
-        return np.nan, "fewer than two events in complete windows"
-    if n_windows <= 4 * k.size:
-        return _af_dense(k, n_windows), None
-    return _af_sparse(k, n_windows), None
+    af = np.full(taus.size, np.nan)
+    reasons: dict[float, str] = {}
+    for i, tau in enumerate(taus):
+        n_windows = int(duration // tau)
+        if n_windows < 2:
+            reasons[float(tau)] = "fewer than two complete counting windows"
+            continue
+        k = ((times - window_start) / tau).astype(np.int64)
+        k = k[: np.searchsorted(k, n_windows, side="left")]
+        if k.size < 2:
+            reasons[float(tau)] = "fewer than two events in complete windows"
+            continue
+        af[i] = _af_from_windows(k, n_windows)
+    return af, reasons
 
+
+def _tau_grid(taus, dt: float, allow_empty: bool = False) -> np.ndarray:
+    # The one check of a tau grid, shared by the curve and the sweep.
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or (taus.size == 0 and not allow_empty):
+        raise ValueError("tau grid must be a non-empty 1-D array")
+    if np.any(taus <= 0) or (taus.size > 1 and np.any(np.diff(taus) <= 0)):
+        raise ValueError("tau grid must be positive and strictly ascending")
+    if np.any(taus < dt):
+        raise ValueError("tau grid must not go below the sampling step")
+    return taus
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,21 +198,8 @@ def af_curve(pp: MarkedPointProcess, taus: np.ndarray) -> AfCurve:
     Undefined grid points are NaN in the result with the reason recorded;
     they are never zero-filled.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-D array")
-    if np.any(taus <= 0) or (taus.size > 1 and np.any(np.diff(taus) <= 0)):
-        raise ValueError("tau grid must be positive and strictly ascending")
-    if np.any(taus < pp.dt):
-        raise ValueError("tau grid must not go below the sampling step")
-
-    af = np.empty(taus.size)
-    reasons: dict[float, str] = {}
-    for i, tau in enumerate(taus):
-        value, reason = _af_at_tau(pp.times, pp.window_start, pp.duration, tau)
-        af[i] = value
-        if reason is not None:
-            reasons[float(tau)] = reason
+    taus = _tau_grid(taus, pp.dt)
+    af, reasons = _af_grid(pp.times, pp.window_start, pp.duration, taus)
     percentile = pp.threshold.percentile if pp.threshold is not None else None
     return AfCurve(taus=taus, af=af, station_id=pp.station_id,
                    percentile=percentile, min_run_length=pp.min_run_length,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .allan import DP_CUTOFF, af_curve, departure, fit_power_law
-from .ingest import ParseError, parse_series, write_series
+from .ingest import parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
     _write_json
 from .runs import read_events, write_events
@@ -305,13 +305,7 @@ def main(argv=None) -> int:
         args.station_id = Path(args.series).stem
     try:
         return args.handler(parser, args)
-    except ParseError as exc:
-        print(f"runclust: data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"runclust: data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError
         print(f"runclust: data error: {exc}", file=sys.stderr)
         return 2
 

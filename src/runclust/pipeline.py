@@ -31,8 +31,8 @@ import numpy as np
 
 from .allan import DP_CUTOFF, af_curve, default_fit_range, departure, fit_power_law
 from .ingest import SampledSeries, StationMeta, parse_series, parse_station_meta
-from .runs import MarkedPointProcess, compute_threshold, extract_runs, \
-    filter_by_min_length, write_events
+from .runs import MarkedPointProcess, _atomic_write_text, compute_threshold, \
+    extract_runs, filter_by_min_length, write_events
 from .stats import RunLengthDensity, average_density, interevent_times, \
     mean_interevent_time, run_length_density
 from .surrogates import SurrogateConfig, cell_bands
@@ -287,12 +287,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _write_json(path: Path, payload) -> None:

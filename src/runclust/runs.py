@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -233,17 +234,23 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
+def _atomic_write_text(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def write_events(pp: MarkedPointProcess, path: str | Path) -> None:
     """Write events to CSV (``event_time,run_length``) plus a JSON sidecar.
 
     The sidecar records the window, sampling step, station, threshold
     and gap fraction, so the process can be reconstructed losslessly.
+    Both texts are built before either file is touched, and each file is
+    replaced atomically.
     """
     path = Path(path)
     lines = ["event_time,run_length"]
     lines += [f"{t!r},{m}" for t, m in zip(pp.times.tolist(), pp.lengths.tolist())]
-    path.write_text("\n".join(lines) + "\n")
-
     meta = {
         "format": "runclust-events",
         "station_id": pp.station_id,
@@ -258,7 +265,10 @@ def write_events(pp: MarkedPointProcess, path: str | Path) -> None:
         },
         "quantile_method": "linear",
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    csv_text = "\n".join(lines) + "\n"
+    sidecar_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    _atomic_write_text(path, csv_text)
+    _atomic_write_text(_sidecar_path(path), sidecar_text)
 
 
 def read_events(path: str | Path) -> MarkedPointProcess:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allan import _af_at_tau
+from .allan import _af_grid, _tau_grid
 from .runs import MarkedPointProcess, linear_quantile
 from .stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
@@ -196,29 +196,28 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     rank-interpolation estimator used for thresholds.  At each tau,
     surrogates whose Allan factor is undefined contribute no sample
     rather than a placeholder.  Needs at least 3 events so Cv and Lv
-    are defined on every surrogate.
+    are defined on every surrogate; the grid is checked as in
+    :func:`~runclust.allan.af_curve` before any surrogate is drawn.
 
     Returns ``(cv_band, lv_band, af_band)``; with an empty ``taus`` the
     Allan factor is skipped and only ``(cv_band, lv_band)`` is returned.
     """
     if pp.n_events < 3:
         raise ValueError("need at least 3 events for scalar bands")
-    taus = np.asarray(taus, dtype=float)
+    taus = _tau_grid(taus, pp.dt, allow_empty=True)
     observed = interevent_times(pp)
     obs_cv = coefficient_of_variation(observed)
     obs_lv = local_coefficient_of_variation(observed)
 
     cv_samples = np.empty(config.n_surrogates)
     lv_samples = np.empty(config.n_surrogates)
-    values = np.full((config.n_surrogates, taus.size), np.nan)
+    values = np.empty((config.n_surrogates, taus.size))
     for i in range(config.n_surrogates):
         _, times = _surrogate_times(pp, config.seed, i)
         d = np.diff(times)
         cv_samples[i] = coefficient_of_variation(d)
         lv_samples[i] = local_coefficient_of_variation(d)
-        for j, tau in enumerate(taus):
-            values[i, j], _ = _af_at_tau(times, pp.window_start,
-                                         pp.duration, tau)
+        values[i], _ = _af_grid(times, pp.window_start, pp.duration, taus)
     bands = (_scalar_band_from_samples("cv", obs_cv, cv_samples, config),
              _scalar_band_from_samples("lv", obs_lv, lv_samples, config))
     if taus.size == 0:

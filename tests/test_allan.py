@@ -6,7 +6,8 @@ import pytest
 from runclust import AfCurve, CountingProcess, DP_CUTOFF, MarkedPointProcess, \
     TauGridSpec, af_curve, allan_factor, counting_process, default_fit_range, \
     departure, fit_power_law
-from runclust.surrogates import AfBand, surrogate_rng
+from runclust.surrogates import AfBand, SurrogateConfig, cell_bands, \
+    surrogate_rng
 from runclust.synth import SynthSpec, generate
 
 
@@ -77,8 +78,8 @@ def test_allan_factor_mark_invariance():
 
 
 def test_af_curve_matches_scalar_definition():
-    # The curve's fast kernels must agree with the plain two-step
-    # definition at every defined grid point.
+    # The curve's run-length kernel must equal the plain two-step
+    # definition exactly at every defined grid point.
     rng = surrogate_rng(73)
     for trial in range(10):
         n = int(rng.integers(3, 300))
@@ -91,20 +92,35 @@ def test_af_curve_matches_scalar_definition():
         for tau, value in zip(curve.taus, curve.af):
             cp = counting_process(pp, tau)
             if cp.counts.sum() >= 2:
-                assert abs(value - allan_factor(cp)) <= 1e-12 * max(1.0, value)
+                assert value == allan_factor(cp)
             else:
                 assert np.isnan(value)
 
 
-def test_af_curve_sparse_grid_points():
-    # Tiny tau forces n_windows far above 4*n_events, exercising the
-    # sparse kernel; compare against the dense definition.
-    times = np.array([3.0, 1000.5, 1001.25, 65000.0, 65001.0, 99999.5])
-    pp = make_pp(times, 1e5)
-    taus = np.array([0.25, 1.0, 7.3])
-    curve = af_curve(pp, taus)
-    for tau, value in zip(curve.taus, curve.af):
-        assert abs(value - allan_factor(counting_process(pp, tau))) < 1e-12
+def test_af_curve_window_edges_exact():
+    # Inputs where the run-length identity meets its edge terms: events
+    # in window 0 and window W-1, adjacent occupied windows at both
+    # ends, tiny tau (windows far outnumbering events), and grid-aligned
+    # times with tau a multiple of the step so events sit on window
+    # edges.  Every point must equal the two-step definition exactly.
+    scattered = make_pp([3.0, 1000.5, 1001.25, 65000.0, 65001.0, 99999.5], 1e5)
+    both_ends = make_pp([0.0, 0.5, 1.5, 2.5, 50.0, 97.5, 98.5, 99.5], 100.0)
+    dt = 600.0
+    slots = np.array([0, 2, 4, 9, 11, 500, 995, 997, 999])
+    aligned = make_pp(slots * dt, 1000 * dt, dt=dt)
+    rng = surrogate_rng(83)
+    drawn = make_pp(2 * dt * np.sort(rng.choice(500, 150, replace=False)),
+                    1000 * dt, dt=dt)
+    step_multiples = dt * np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 50.0, 100.0])
+    cases = [(scattered, [0.25, 1.0, 7.3]),
+             (both_ends, [1.0, 2.0, 2.5, 10.0]),
+             (aligned, step_multiples),
+             (drawn, step_multiples)]
+    for pp, taus in cases:
+        curve = af_curve(pp, np.asarray(taus))
+        assert curve.n_defined == len(taus)
+        for tau, value in zip(curve.taus, curve.af):
+            assert value == allan_factor(counting_process(pp, tau))
 
 
 def test_af_curve_undefined_points():
@@ -129,6 +145,15 @@ def test_af_curve_grid_validation():
                                  window_start=0.0, window_end=6000.0, dt=600.0)
     with pytest.raises(ValueError, match="below the sampling step"):
         af_curve(grid_pp, np.array([300.0, 1200.0]))
+
+    # The surrogate sweep checks the same grid before drawing anything.
+    grid_pp = MarkedPointProcess(times=[0.0, 1200.0, 3000.0], lengths=[1, 1, 1],
+                                 window_start=0.0, window_end=6000.0, dt=600.0)
+    config = SurrogateConfig(seed=1, n_surrogates=2)
+    with pytest.raises(ValueError, match="below the sampling step"):
+        cell_bands(grid_pp, np.array([300.0, 1200.0]), config)
+    with pytest.raises(ValueError, match="ascending"):
+        cell_bands(grid_pp, np.array([1200.0, 600.0]), config)
 
 
 def test_grid_doubling_consistency():

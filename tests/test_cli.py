@@ -279,6 +279,15 @@ def test_af_missing_sidecar_exits_2(tmp_path, capsys):
     assert call(["af", str(tmp_path / "ghost.csv")]) == 2
     assert "missing events sidecar" in capsys.readouterr().err
 
+    # Sidecar present, events CSV gone.
+    write_events(MarkedPointProcess(times=[0.0, 1200.0], lengths=[1, 1],
+                                    window_start=0.0, window_end=6.0e5,
+                                    dt=600.0), tmp_path / "ghost.csv")
+    (tmp_path / "ghost.csv").unlink()
+    assert call(["af", str(tmp_path / "ghost.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "ghost.csv" in err
+
 
 def test_af_undefined_everywhere_exits_3(tmp_path, capsys):
     solo = MarkedPointProcess(times=np.array([1200.0]),

@@ -1,10 +1,12 @@
 """Tests for threshold computation and run extraction."""
 
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from runclust import runs
 from runclust import MarkedPointProcess, SampledSeries, ThresholdSpec, \
     compute_threshold, extract_runs, filter_by_min_length, linear_quantile, \
     read_events, write_events
@@ -240,3 +242,20 @@ def test_events_round_trip(tmp_path):
     (tmp_path / "events.json").unlink()
     with pytest.raises(ValueError, match="sidecar"):
         read_events(path)
+
+
+def test_write_events_failure_leaves_pair_unchanged(tmp_path, monkeypatch):
+    series = make_series([1, 5, 6, 2, 7.25, 1])
+    path = tmp_path / "events.csv"
+    write_events(extract_runs(series, compute_threshold(series, 0.5, min_count=5)),
+                 path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("sidecar serialisation failed")
+
+    monkeypatch.setattr(runs, "json", SimpleNamespace(dumps=fail))
+    lower = extract_runs(series, compute_threshold(series, 0.1, min_count=5))
+    with pytest.raises(RuntimeError, match="serialisation"):
+        write_events(lower, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
