@@ -217,25 +217,15 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
             prev_slot = slot
 
             field = row[1].strip()
-            if field == "" or field.lower() == "nan":
-                slots.append(slot)
-                row_values.append(math.nan)
-                row_missing.append(True)
-                continue
             try:
-                value = float(field)
+                value = float(field) if field else math.nan
             except ValueError:
                 raise ParseError(f"malformed value {row[1]!r}", path, line) from None
-            if math.isnan(value):
-                slots.append(slot)
-                row_values.append(math.nan)
-                row_missing.append(True)
-                continue
             if value < 0:
                 raise ParseError(f"negative value {value!r}", path, line)
             slots.append(slot)
             row_values.append(value)
-            row_missing.append(False)
+            row_missing.append(math.isnan(value))
 
     if t0 is None:
         raise ParseError("no data rows", path)

@@ -23,7 +23,8 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,32 +146,23 @@ class AnalysisConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "AnalysisConfig":
         """Inverse of :meth:`as_mapping`; unknown keys are an error."""
-        known = {"seed", "output_dir", "percentiles", "min_run_lengths",
-                 "tau_lo", "tau_hi", "tau_points", "n_surrogates", "band_lo",
-                 "band_hi", "dp_cutoff", "min_events", "threshold_floor",
-                 "fit", "dt", "workers"}
-        unknown = set(mapping) - known
+        direct = {f.name for f in dataclasses.fields(cls)} - {"tau_grid", "band"}
+        unknown = set(mapping) - direct - {"tau_lo", "tau_hi", "tau_points",
+                                           "band_lo", "band_hi"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "seed" not in mapping or mapping["seed"] is None:
+        if mapping.get("seed") is None:
             raise ValueError("config requires a seed")
-        if "output_dir" not in mapping or mapping["output_dir"] is None:
+        if mapping.get("output_dir") is None:
             raise ValueError("config requires an output_dir")
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         grid = TauGridSpec(
             lo=mapping.get("tau_lo"),
             hi=mapping.get("tau_hi"),
             points=mapping.get("tau_points", TauGridSpec.points))
-        band = (mapping.get("band_lo", 0.025), mapping.get("band_hi", 0.975))
-        kwargs = {}
-        for name in ("seed", "output_dir", "n_surrogates", "dp_cutoff",
-                     "min_events", "threshold_floor", "fit", "dt", "workers"):
-            kwargs[name] = mapping.get(name, defaults[name])
-        if "percentiles" in mapping:
-            kwargs["percentiles"] = tuple(mapping["percentiles"])
-        if "min_run_lengths" in mapping:
-            kwargs["min_run_lengths"] = tuple(mapping["min_run_lengths"])
-        return cls(tau_grid=grid, band=band, **kwargs)
+        band = (mapping.get("band_lo", cls.band[0]),
+                mapping.get("band_hi", cls.band[1]))
+        return cls(tau_grid=grid, band=band,
+                   **{k: v for k, v in mapping.items() if k in direct})
 
 
 def derive_cell_seed(master_seed: int, station_id: str, percentile: float,
@@ -265,7 +257,7 @@ def _evaluate_cell(task: dict) -> dict:
             "band_lo": band.lo.tolist(),
             "band_hi": band.hi.tolist(),
             "band_n_samples": band.n_samples.tolist(),
-            "dp": {repr(t): v for t, v in dp},
+            "dp": dp,
             "power_law_fit": fit_payload,
             "fit_message": fit_message,
         })
@@ -318,7 +310,7 @@ def _write_cell_outputs(cell_dir: Path, payload: dict) -> None:
     if payload["status"] in ("insufficient_events", "error"):
         return
 
-    dp = {float(k): v for k, v in payload["dp"].items()}
+    dp = dict(payload["dp"])
     af_rows = [
         (tau, af, lo, hi, dp.get(tau))
         for tau, af, lo, hi in zip(payload["taus"], payload["af"],
@@ -338,71 +330,11 @@ def _write_cell_outputs(cell_dir: Path, payload: dict) -> None:
 # Station and batch drivers.
 
 
-def _effective_workers(config: AnalysisConfig) -> int:
-    return config.workers if config.workers is not None else (os.cpu_count() or 1)
-
-
-def _run_cells(tasks: list[dict], workers: int, executor=None) -> list[dict]:
-    if executor is None and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _run_cells(tasks, workers, executor=pool)
-    if executor is None:
-        return [_evaluate_cell(task) for task in tasks]
-
-    # Bounded submission keeps at most 2*workers task payloads in flight.
-    results: dict[int, dict] = {}
-    pending = {}
-    queue = list(enumerate(tasks))
-    queue.reverse()
-    while queue or pending:
-        while queue and len(pending) < 2 * workers:
-            idx, task = queue.pop()
-            pending[executor.submit(_evaluate_cell, task)] = idx
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            results[pending.pop(future)] = future.result()
-    return [results[i] for i in range(len(tasks))]
-
-
-def _station_cells(series: SampledSeries, config: AnalysisConfig,
-                   executor=None) -> tuple[dict, dict, dict, list[dict]]:
-    """Extract runs and evaluate the full cell matrix of one station.
-
-    Returns (thresholds, unfiltered processes and their densities, each
-    by percentile, and cell payloads sorted by (percentile, min length)).
-    """
-    taus = config.tau_grid.resolve(series.dt, series.n_samples * series.dt)
-    thresholds: dict[float, object] = {}
-    processes: dict[float, MarkedPointProcess] = {}
-    densities: dict[float, RunLengthDensity] = {}
-    for pct in sorted(config.percentiles):
-        threshold = compute_threshold(series, pct, min_count=config.threshold_floor)
-        pp = extract_runs(series, threshold)
-        thresholds[pct] = threshold
-        processes[pct] = pp
-        if pp.n_events:
-            densities[pct] = run_length_density(pp)
-
-    tasks = []
-    for pct in sorted(config.percentiles):
-        for lm in sorted(config.min_run_lengths):
-            tasks.append({
-                "station_id": series.station_id,
-                "percentile": pct,
-                "min_run_length": lm,
-                "pp": filter_by_min_length(processes[pct], lm),
-                "taus": taus,
-                "seed_master": config.seed,
-                "seed_cell": derive_cell_seed(config.seed, series.station_id,
-                                              pct, lm),
-                "n_surrogates": config.n_surrogates,
-                "band": config.band,
-                "dp_cutoff": config.dp_cutoff,
-                "min_events": config.min_events,
-                "fit": config.fit,
-            })
-    payloads = _run_cells(tasks, _effective_workers(config), executor)
-    return thresholds, processes, densities, payloads
+def _cell_pool(config: AnalysisConfig):
+    """The process pool cells run on; a null context (yielding ``None``)
+    for one worker.  ``workers=None`` means the machine's CPU count."""
+    workers = config.workers or os.cpu_count() or 1
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def run_station(series: SampledSeries, meta: StationMeta | None,
@@ -413,20 +345,50 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     event lists, one directory per (percentile, min run length) cell
     with ``af.csv``, ``band.csv``, ``pm.csv`` and ``stats.json``, and a
     ``summary.json`` enumerating every attempted cell with its status.
+    Cells run on ``executor`` when one is given, else on a pool of
+    ``config.workers``.
 
     Returns the station result: the summary dict plus the in-memory
     pieces a batch needs for cross-station products.
     """
-    thresholds, processes, densities, payloads = _station_cells(series, config,
-                                                                executor)
-    height = meta.height if meta is not None else None
+    taus = config.tau_grid.resolve(series.dt, series.n_samples * series.dt)
+    thresholds: dict[float, float] = {}
+    processes: dict[float, MarkedPointProcess] = {}
+    densities: dict[float, RunLengthDensity] = {}
+    tasks = []
+    for pct in sorted(config.percentiles):
+        threshold = compute_threshold(series, pct, min_count=config.threshold_floor)
+        pp = extract_runs(series, threshold)
+        thresholds[pct] = threshold.value
+        processes[pct] = pp
+        if pp.n_events:
+            densities[pct] = run_length_density(pp)
+        for lm in sorted(config.min_run_lengths):
+            tasks.append({
+                "station_id": series.station_id,
+                "percentile": pct,
+                "min_run_length": lm,
+                "pp": filter_by_min_length(pp, lm),
+                "taus": taus,
+                "seed_master": config.seed,
+                "seed_cell": derive_cell_seed(config.seed, series.station_id,
+                                              pct, lm),
+                "n_surrogates": config.n_surrogates,
+                "band": config.band,
+                "dp_cutoff": config.dp_cutoff,
+                "min_events": config.min_events,
+                "fit": config.fit,
+            })
+    with (_cell_pool(config) if executor is None else nullcontext(executor)) as pool:
+        payloads = (list(pool.map(_evaluate_cell, tasks)) if pool is not None
+                    else [_evaluate_cell(task) for task in tasks])
 
+    height = meta.height if meta is not None else None
     station_dir = Path(config.output_dir) / series.station_id
     station_dir.mkdir(parents=True, exist_ok=True)
 
-    for pct in sorted(config.percentiles):
-        write_events(processes[pct],
-                     station_dir / f"events_{percentile_label(pct)}.csv")
+    for pct, pp in processes.items():
+        write_events(pp, station_dir / f"events_{percentile_label(pct)}.csv")
 
     cells_index = []
     for payload in payloads:
@@ -450,15 +412,14 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
         "dt": series.dt,
         "t0": series.t0.isoformat().replace("+00:00", "Z"),
         "gap_fraction": series.gap_fraction,
-        "thresholds": {percentile_label(p): thresholds[p].value
-                       for p in sorted(config.percentiles)},
+        "thresholds": {percentile_label(p): v for p, v in thresholds.items()},
         "cells": cells_index,
     }
     _write_json(station_dir / "summary.json", summary)
     return {
         "summary": summary,
         "densities": densities,
-        "thresholds": {p: thresholds[p].value for p in thresholds},
+        "thresholds": thresholds,
         "payloads": payloads,
     }
 
@@ -488,12 +449,7 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     results: dict[str, dict] = {}
     stations_index: list[dict] = []
     warnings: list[str] = []
-    workers = _effective_workers(config)
-
-    from contextlib import nullcontext
-    pool_ctx = (ProcessPoolExecutor(max_workers=workers)
-                if workers > 1 else nullcontext(None))
-    with pool_ctx as executor:
+    with _cell_pool(config) as executor:
         for path in series_paths:
             station_id = path.stem
             if station_id not in meta_by_id:
@@ -554,29 +510,19 @@ def _write_cross_products(cross_dir: Path, results: dict, meta_by_id: dict,
                        zip(mean_density.lengths.tolist(),
                            mean_density.probs.tolist()))
 
-        rows = []
-        for sid in station_ids:
-            for payload in results[sid]["payloads"]:
-                if payload["percentile"] != pct or payload["status"] not in (
-                        "ok", "undefined_af"):
-                    continue
-                rows.append((sid, meta_by_id[sid].height,
-                             payload["min_run_length"],
-                             payload["mean_interevent_seconds"]))
+        cells = [(sid, meta_by_id[sid].height, payload) for sid in station_ids
+                 for payload in results[sid]["payloads"]
+                 if payload["percentile"] == pct]
         _write_csv(cross_dir / f"mean_interevent_vs_height_{label}.csv",
                    ["station_id", "height_m", "min_run_length",
-                    "mean_interevent_seconds"], rows)
+                    "mean_interevent_seconds"],
+                   [(sid, height, p["min_run_length"], p["mean_interevent_seconds"])
+                    for sid, height, p in cells
+                    if p["status"] in ("ok", "undefined_af")])
 
         for lm in sorted(config.min_run_lengths):
-            rows = []
-            for sid in station_ids:
-                for payload in results[sid]["payloads"]:
-                    if (payload["percentile"] != pct
-                            or payload["min_run_length"] != lm
-                            or payload["status"] != "ok"):
-                        continue
-                    dp = sorted((float(k), v) for k, v in payload["dp"].items())
-                    rows.extend((sid, meta_by_id[sid].height, tau, value)
-                                for tau, value in dp)
             _write_csv(cross_dir / f"departure_{label}_{run_length_label(lm)}.csv",
-                       ["station_id", "height_m", "tau_seconds", "dp"], rows)
+                       ["station_id", "height_m", "tau_seconds", "dp"],
+                       [(sid, height, tau, value) for sid, height, p in cells
+                        if p["min_run_length"] == lm and p["status"] == "ok"
+                        for tau, value in p["dp"]])

@@ -282,6 +282,11 @@ def read_events(path: str | Path) -> MarkedPointProcess:
     if not sidecar.exists():
         raise ValueError(f"missing events sidecar {sidecar}")
     meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"events sidecar {sidecar} must hold a JSON object")
+    for key in ("window_start", "window_end", "dt"):
+        if key not in meta:
+            raise ValueError(f"events sidecar {sidecar} lacks {key!r}")
 
     times: list[float] = []
     lengths: list[int] = []

@@ -69,18 +69,24 @@ def surrogate_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sorted_uniform(rng: np.random.Generator, n: int, start: float,
+                    span: float) -> np.ndarray:
+    # ``n`` sorted i.i.d. uniform times on [start, start + span).  Ties have
+    # probability ~n^2/2^53 but would break strict monotonicity; redraw
+    # from the same substream until clean.
+    times = np.sort(start + rng.random(n) * span)
+    while np.any(np.diff(times) == 0):
+        times = np.sort(start + rng.random(n) * span)
+    return times
+
+
 def _surrogate_times(pp: MarkedPointProcess, seed: int,
                      stream: int) -> tuple[np.random.Generator, np.ndarray]:
     # Sorted uniform event times of surrogate ``stream``, with the
     # generator left where the times end so marks can be drawn after.
     rng = surrogate_rng(seed, stream)
-    span = pp.window_end - pp.window_start
-    times = np.sort(pp.window_start + rng.random(pp.n_events) * span)
-    # Ties have probability ~n^2/2^53 but would break strict monotonicity;
-    # redraw from the same substream until clean.
-    while np.any(np.diff(times) == 0):
-        times = np.sort(pp.window_start + rng.random(pp.n_events) * span)
-    return rng, times
+    return rng, _sorted_uniform(rng, pp.n_events, pp.window_start,
+                                pp.window_end - pp.window_start)
 
 
 def poisson_surrogate(pp: MarkedPointProcess, seed: int,

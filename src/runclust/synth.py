@@ -25,7 +25,7 @@ import numpy as np
 
 from .ingest import SampledSeries
 from .runs import MarkedPointProcess
-from .surrogates import surrogate_rng
+from .surrogates import _MAX_SEED, _sorted_uniform, surrogate_rng
 
 __all__ = [
     "SynthSpec",
@@ -38,8 +38,6 @@ KINDS = ("poisson", "periodic", "mixed_periodic", "fractal_renewal", "bursty")
 # Synthetic series need a time anchor for serialization; the value is
 # arbitrary and shared so rendered series round-trip byte-identically.
 _SYNTH_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
-
-_MAX_SEED = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -179,13 +177,6 @@ def _gamma_for_exponent(af_exponent: float) -> float:
     return float(np.interp(af_exponent, alpha, gamma))
 
 
-def _draw_sorted_uniform(rng: np.random.Generator, n: int, window: float) -> np.ndarray:
-    times = np.sort(rng.random(n) * window)
-    while np.any(np.diff(times) == 0):
-        times = np.sort(rng.random(n) * window)
-    return times
-
-
 def _periodic_times(period: float, phase: float, start: float,
                     end: float) -> np.ndarray:
     if start + phase >= end:
@@ -196,8 +187,7 @@ def _periodic_times(period: float, phase: float, start: float,
 
 
 def _poisson_times(rng, rate: float, window: float) -> np.ndarray:
-    n = rng.poisson(rate * window)
-    return _draw_sorted_uniform(rng, n, window)
+    return _sorted_uniform(rng, rng.poisson(rate * window), 0.0, window)
 
 
 def _fractal_renewal_times(rng, gamma: float, min_gap: float,

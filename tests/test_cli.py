@@ -288,6 +288,17 @@ def test_af_missing_sidecar_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err and "ghost.csv" in err
 
+    # Events CSV present, sidecar not an object or missing a window key.
+    write_events(MarkedPointProcess(times=[0.0, 1200.0], lengths=[1, 1],
+                                    window_start=0.0, window_end=6.0e5,
+                                    dt=600.0), tmp_path / "e.csv")
+    for sidecar, message in (("{}", "lacks 'window_start'"),
+                             ("[]", "must hold a JSON object")):
+        (tmp_path / "e.json").write_text(sidecar)
+        assert call(["af", str(tmp_path / "e.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "e.json" in err and message in err
+
 
 def test_af_undefined_everywhere_exits_3(tmp_path, capsys):
     solo = MarkedPointProcess(times=np.array([1200.0]),

@@ -57,9 +57,11 @@ def test_parse_series_empty_and_nan_values_missing(tmp_path):
                   "timestamp,value\n"
                   "2010-01-01T00:00:00Z,\n"
                   "2010-01-01T00:10:00Z,nan\n"
-                  "2010-01-01T00:20:00Z,4.5\n")
+                  "2010-01-01T00:20:00Z,4.5\n"
+                  "2010-01-01T00:30:00Z,NaN\n"
+                  "2010-01-01T00:40:00Z, NAN \n")
     series = parse_series(path, "S1", dt=600.0)
-    assert np.array_equal(series.missing, [True, True, False])
+    assert np.array_equal(series.missing, [True, True, False, True, True])
     assert series.non_missing_values().tolist() == [4.5]
 
 

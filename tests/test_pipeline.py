@@ -91,6 +91,12 @@ def test_analysis_config_mapping_round_trip(tmp_path):
     back = AnalysisConfig.from_mapping(config.as_mapping())
     assert back == config
 
+    partial = AnalysisConfig.from_mapping(
+        {"seed": 3, "output_dir": "x", "band_lo": 0.1, "percentiles": [0.9, 0.99]})
+    assert partial == AnalysisConfig(seed=3, output_dir="x", band=(0.1, 0.975),
+                                     percentiles=(0.9, 0.99))
+    assert partial.tau_grid == TauGridSpec()
+
     with pytest.raises(ValueError, match="unknown config keys"):
         AnalysisConfig.from_mapping({"seed": 1, "output_dir": "x", "bogus": 2})
     with pytest.raises(ValueError, match="requires a seed"):
@@ -228,6 +234,18 @@ def test_run_batch_rerun_byte_identical(tmp_path):
     first = tree_hashes(out)
     run_batch(stations, meta, config)
     assert tree_hashes(out) == first
+
+
+def test_run_batch_worker_count_does_not_change_output(tmp_path):
+    stations, meta = _write_batch_inputs(tmp_path)
+    serial, pooled = tmp_path / "w1", tmp_path / "w2"
+    run_batch(stations, meta, small_config(serial, min_run_lengths=(1, 2)))
+    run_batch(stations, meta, small_config(pooled, min_run_lengths=(1, 2),
+                                           workers=2))
+    serial_tree, pooled_tree = tree_hashes(serial), tree_hashes(pooled)
+    # config.json records the worker count; every other product must match.
+    assert serial_tree.pop("config.json") != pooled_tree.pop("config.json")
+    assert serial_tree == pooled_tree
 
 
 def test_run_batch_empty_directory(tmp_path):
