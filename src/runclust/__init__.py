@@ -12,9 +12,9 @@ from .allan import (AfCurve, CountingProcess, DP_CUTOFF, PowerLawFit, af_curve,
                     departure, fit_power_law)
 from .ingest import (ParseError, SampledSeries, StationMeta, parse_series,
                      parse_station_meta, write_series)
-from .runs import (ExtremeEvent, MarkedPointProcess, ThresholdSpec,
-                   compute_threshold, extract_runs, filter_by_min_length,
-                   linear_quantile, read_events, write_events)
+from .runs import (MarkedPointProcess, ThresholdSpec, compute_threshold,
+                   extract_runs, filter_by_min_length, linear_quantile,
+                   read_events, write_events)
 from .stats import (RunLengthDensity, average_density, coefficient_of_variation,
                     interevent_times, local_coefficient_of_variation,
                     mean_interevent_time, run_length_density)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AfBand", "AfCurve", "AnalysisConfig", "CountingProcess", "DP_CUTOFF",
-    "ExtremeEvent", "MarkedPointProcess", "ParseError", "PowerLawFit",
+    "MarkedPointProcess", "ParseError", "PowerLawFit",
     "RunLengthDensity", "SampledSeries", "ScalarBand", "StationMeta",
     "SurrogateConfig", "SynthSpec", "TauGridSpec", "ThresholdSpec",
     "af_curve", "allan_factor",

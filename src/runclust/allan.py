@@ -7,6 +7,13 @@ process stays near 1 at every tau; time-clustered processes rise with
 tau, and over a scaling regime the rise follows a power law
 ``AF(tau) = 1 + (tau/tau1)**alpha`` whose exponent is fitted in log-log
 coordinates on AF - 1.
+
+Curves and surrogate bands share one per-tau kernel with two exact
+counting regimes.  Small processes give every event its window index;
+large processes with few windows per event (at least 5,000 events and
+more than 20 per window) find the window boundaries by binary search
+instead, which costs per window rather than per event.  Both regimes
+give the same bits as ``allan_factor(counting_process(pp, tau))``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,13 @@ __all__ = [
 # Departure statistics are only reported above this timescale (seconds);
 # shorter windows are dominated by the sampling grid.
 DP_CUTOFF = 200 * 60.0
+
+# _af_grid counts by window edges when the process has at least this many
+# events and more than this many events per counting window; below
+# either, the dense per-event count is as fast or faster (the per-tau
+# costs are in _af_grid's docstring).
+_EDGE_MIN_EVENTS = 5000
+_EDGE_EVENTS_PER_WINDOW = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +132,37 @@ def _af_from_windows(k: np.ndarray, n_windows: int) -> float:
     return (num / (n_windows - 1)) / (2.0 * k.size / n_windows)
 
 
+def _af_from_edges(edges: np.ndarray, n_windows: int) -> float:
+    # The counts are diff(edges): the same exact integer sum of squared
+    # count differences and the same float expression as _af_from_windows.
+    d = np.diff(edges, 2)
+    return (np.dot(d, d) / (n_windows - 1)) / (2.0 * int(edges[-1]) / n_windows)
+
+
+def _window_edges(rel: np.ndarray, tau: float, n_windows: int) -> np.ndarray:
+    # edges[j] = number of events whose window index (rel/tau).astype(int64)
+    # is below j, for j = 0..W.  That index never decreases along the
+    # sorted rel, so the events below j form a prefix.  searchsorted on
+    # the rounded products j*tau lands next to each edge (one event off
+    # at most, where rel/tau and j*tau round across each other, in every
+    # case tried); the loop then moves every edge by one event while the
+    # event before it sits at or above j, or the event at it below j.
+    # Each pass moves an edge one event toward its exact prefix length
+    # and never past it, so the loop stops there, and a pass that moves
+    # nothing proves it.  Usually the first pass moves nothing.
+    j = np.arange(n_windows + 1)
+    edges = np.searchsorted(rel, j * tau)
+    last = rel.size - 1
+    while True:
+        before = (rel[np.maximum(edges - 1, 0)] / tau).astype(np.int64)
+        at = (rel[np.minimum(edges, last)] / tau).astype(np.int64)
+        step = (((edges <= last) & (at < j)).astype(np.int64)
+                - ((edges > 0) & (before >= j)))
+        if not step.any():
+            return edges
+        edges += step
+
+
 def _af_grid(times: np.ndarray, window_start: float, duration: float,
              taus: np.ndarray) -> tuple[np.ndarray, dict[float, str]]:
     """Allan factor at every tau of a grid from sorted event times.
@@ -126,20 +171,47 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     keyed by tau: the window must hold two complete counting windows
     and at least two events must fall inside them (a lone event has no
     count structure to difference).
+
+    Two exact counting regimes, chosen per tau from the event count n
+    and the number W of complete counting windows:
+
+    - *dense*: every event gets its window index, and the factor comes
+      from the occupied windows (``_af_from_windows``);
+    - *edges*: the W+1 window boundaries come from ``searchsorted``,
+      corrected to the same per-event rule, and the counts are their
+      differences (``_af_from_edges``).
+
+    Per tau, on one core of a 2-CPU Xeon with numpy 2.4, the dense
+    regime costs about 35 µs + 0.004 µs·n and the edge regime about
+    40 µs + 0.08 µs·W.  Edges win when n exceeds about 20·W, and never
+    by more than noise below about 5,000 events, so they are used when
+    n >= ``_EDGE_MIN_EVENTS`` and n > ``_EDGE_EVENTS_PER_WINDOW``·W.
+    Both regimes form the same integer sum of squared count differences
+    and the same float expression, so the values are the same bits
+    either way.
     """
     af = np.full(taus.size, np.nan)
     reasons: dict[float, str] = {}
+    rel = times - window_start
     for i, tau in enumerate(taus):
         n_windows = int(duration // tau)
         if n_windows < 2:
             reasons[float(tau)] = "fewer than two complete counting windows"
             continue
-        k = ((times - window_start) / tau).astype(np.int64)
-        k = k[: np.searchsorted(k, n_windows, side="left")]
-        if k.size < 2:
+        by_edges = (rel.size >= _EDGE_MIN_EVENTS
+                    and rel.size > _EDGE_EVENTS_PER_WINDOW * n_windows)
+        if by_edges:
+            edges = _window_edges(rel, tau, n_windows)
+            m = int(edges[-1])
+        else:
+            k = (rel / tau).astype(np.int64)
+            k = k[: np.searchsorted(k, n_windows, side="left")]
+            m = k.size
+        if m < 2:
             reasons[float(tau)] = "fewer than two events in complete windows"
             continue
-        af[i] = _af_from_windows(k, n_windows)
+        af[i] = (_af_from_edges(edges, n_windows) if by_edges
+                 else _af_from_windows(k, n_windows))
     return af, reasons
 
 

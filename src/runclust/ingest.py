@@ -117,9 +117,6 @@ class SampledSeries:
         """Covered time span in seconds, one ``dt`` per sample."""
         return self.n_samples * self.dt
 
-    def sample_time(self, k: int) -> datetime:
-        return self.t0 + timedelta(seconds=k * self.dt)
-
     def non_missing_values(self) -> np.ndarray:
         return self.values[~self.missing]
 
@@ -223,6 +220,8 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
                 raise ParseError(f"malformed value {row[1]!r}", path, line) from None
             if value < 0:
                 raise ParseError(f"negative value {value!r}", path, line)
+            if math.isinf(value):
+                raise ParseError(f"infinite value {row[1]!r}", path, line)
             slots.append(slot)
             row_values.append(value)
             row_missing.append(math.isnan(value))

@@ -17,14 +17,12 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .ingest import SampledSeries
 
 __all__ = [
-    "ExtremeEvent",
     "MarkedPointProcess",
     "ThresholdSpec",
     "compute_threshold",
@@ -62,13 +60,6 @@ class ThresholdSpec:
     def __post_init__(self):
         if self.percentile is not None and not 0.0 < self.percentile < 1.0:
             raise ValueError("percentile must lie in (0, 1)")
-
-
-class ExtremeEvent(NamedTuple):
-    """One run: start time in seconds and length in samples."""
-
-    t: float
-    length: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +143,6 @@ class MarkedPointProcess:
     @property
     def duration(self) -> float:
         return self.window_end - self.window_start
-
-    @property
-    def events(self) -> list[ExtremeEvent]:
-        return [ExtremeEvent(float(t), int(m))
-                for t, m in zip(self.times, self.lengths)]
 
 
 def compute_threshold(series: SampledSeries, percentile: float,

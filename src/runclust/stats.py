@@ -115,13 +115,6 @@ class RunLengthDensity:
         return (np.array_equal(self.lengths, other.lengths)
                 and np.array_equal(self.probs, other.probs))
 
-    def probability(self, m: int) -> float:
-        """P(run length == m); 0 off the observed support."""
-        idx = np.searchsorted(self.lengths, m)
-        if idx < self.lengths.size and self.lengths[idx] == m:
-            return float(self.probs[idx])
-        return 0.0
-
 
 def run_length_density(pp: MarkedPointProcess) -> RunLengthDensity:
     """Empirical run-length density p(m) = count(m) / n_events."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from runclust import allan
 from runclust import AfCurve, CountingProcess, DP_CUTOFF, MarkedPointProcess, \
     TauGridSpec, af_curve, allan_factor, counting_process, default_fit_range, \
     departure, fit_power_law
@@ -120,6 +121,36 @@ def test_af_curve_window_edges_exact():
         curve = af_curve(pp, np.asarray(taus))
         assert curve.n_defined == len(taus)
         for tau, value in zip(curve.taus, curve.af):
+            assert value == allan_factor(counting_process(pp, tau))
+
+
+def test_af_curve_edge_regime_exact():
+    # Processes large enough to be counted by window edges.  The counts
+    # must follow the per-event rule floor((t - start)/tau) exactly where
+    # the rounded products j*tau and quotients t/tau disagree: events on
+    # j*tau and one ulp either side of it, for taus that are not exact
+    # binary fractions.  Every case occupies its first and last window
+    # and leaves events in a trailing partial window.
+    rng = surrogate_rng(89)
+    uniform = make_pp(np.sort(rng.random(20_000)) * 1e6, 1e6)
+    dt = 600.0
+    aligned = make_pp(2 * dt * np.sort(rng.choice(20_000, 15_000, replace=False)),
+                      40_001 * dt, dt=dt)
+    cases = [(uniform, np.geomspace(2.1e3, 4e5, 12)),
+             (aligned, dt * np.array([100.0, 128.0, 150.0, 200.0, 400.0, 4000.0]))]
+    for tau in (0.7, 3.3, 7.3):
+        on = np.arange(250) * tau
+        near = np.concatenate([on, np.nextafter(on, np.inf),
+                               np.nextafter(on[1:], -np.inf),
+                               rng.random(6000) * 250.5 * tau])
+        cases.append((make_pp(np.unique(near), 250.5 * tau),
+                      tau * np.array([1.0, 2.0, 3.0])))
+    for pp, taus in cases:
+        curve = af_curve(pp, taus)
+        assert pp.n_events >= allan._EDGE_MIN_EVENTS
+        assert curve.n_defined == taus.size
+        for tau, value in zip(curve.taus, curve.af):
+            assert pp.n_events > allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
             assert value == allan_factor(counting_process(pp, tau))
 
 

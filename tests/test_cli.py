@@ -143,6 +143,21 @@ def test_analyze_data_errors_exit_2(tmp_path, capsys):
     assert "expected header 'timestamp,value'" in err
 
 
+def test_analyze_infinite_sample_exits_2(tmp_path, capsys):
+    station = tmp_path / "S1.csv"
+    render_station(station)
+    lines = station.read_text().splitlines(keepends=True)
+    stamp = lines[500].split(",")[0]
+    lines[500] = f"{stamp},inf\n"
+    station.write_text("".join(lines))
+    assert call(["analyze", str(station), "--out", str(tmp_path / "out"),
+                 "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "line 501: infinite value 'inf'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_writes_events_with_sidecar(tmp_path, capsys):
     events = tmp_path / "ev.csv"
     code = call(["synth", "periodic", "--seed", "3", "--period", "6000",

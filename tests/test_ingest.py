@@ -76,6 +76,19 @@ def test_parse_series_negative_value_error(tmp_path):
     assert "line 3" in str(info.value)
 
 
+def test_parse_series_infinite_value_error(tmp_path):
+    for text in ("inf", "Infinity", " +INF "):
+        path = _write(tmp_path / "s.csv",
+                      "timestamp,value\n"
+                      "2010-01-01T00:00:00Z,1.0\n"
+                      "2010-01-01T00:10:00Z,2.0\n"
+                      f"2010-01-01T00:20:00Z,{text}\n")
+        with pytest.raises(ParseError, match="infinite value") as info:
+            parse_series(path, "S1", dt=600.0)
+        assert info.value.line == 4
+        assert "line 4" in str(info.value)
+
+
 def test_parse_series_malformed_rows(tmp_path):
     bad_stamp = _write(tmp_path / "a.csv",
                        "timestamp,value\nnot-a-time,1.0\n")

@@ -123,7 +123,8 @@ def test_extract_runs_strictly_above():
 def test_extract_runs_truncated_by_series_end():
     series = make_series([1.0, 5.0, 5.0])
     pp = extract_runs(series, ThresholdSpec(value=4.0))
-    assert pp.events == [(600.0, 2)]
+    assert pp.times.tolist() == [600.0]
+    assert pp.lengths.tolist() == [2]
 
 
 def test_filter_by_min_length():

@@ -102,8 +102,6 @@ def test_run_length_density_hand_values():
     assert d.lengths.tolist() == [1, 2]
     assert abs(d.probs[0] - 2.0 / 3.0) < 1e-12
     assert abs(d.probs[1] - 1.0 / 3.0) < 1e-12
-    assert d.probability(1) == d.probs[0]
-    assert d.probability(5) == 0.0
 
     point = run_length_density(make_pp([0.0, 10.0], lengths=[4, 4]))
     assert point.lengths.tolist() == [4]
