@@ -8,12 +8,17 @@ tau, and over a scaling regime the rise follows a power law
 ``AF(tau) = 1 + (tau/tau1)**alpha`` whose exponent is fitted in log-log
 coordinates on AF - 1.
 
-Curves and surrogate bands share one per-tau kernel with two exact
-counting regimes.  Small processes give every event its window index;
-large processes with few windows per event (at least 5,000 events and
-more than 20 per window) find the window boundaries by binary search
-instead, which costs per window rather than per event.  Both regimes
-give the same bits as ``allan_factor(counting_process(pp, tau))``.
+Curves and surrogate bands share one kernel, which takes a block of
+processes on one window, one row each, and loops over the taus once for
+the whole block.  It has two exact counting regimes.  Small processes
+give every event its window index, and one run-length pass over the
+flattened block counts every row at once; the surrogate sweep hands it
+blocks of many surrogates, so its fixed cost per tau is shared by all of
+them.  Large processes with few windows per event (at least 5,000
+events and more than 20 per window) find the window boundaries by
+binary search instead, row by row, which costs per window rather than
+per event.  Both regimes give every row the same bits as
+``allan_factor(counting_process(pp, tau))`` on that row alone.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ DP_CUTOFF = 200 * 60.0
 # costs are in _af_grid's docstring).
 _EDGE_MIN_EVENTS = 5000
 _EDGE_EVENTS_PER_WINDOW = 20
+
+# The surrogate sweep hands _af_grid blocks of about this many event
+# times (the costs by block size are in _af_grid's docstring).
+_BLOCK_EVENTS = 16_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,27 +125,36 @@ def allan_factor(cp: CountingProcess) -> float:
     return float((np.dot(d, d) / (counts.size - 1)) / (2.0 * mean))
 
 
-def _af_from_windows(k: np.ndarray, n_windows: int) -> float:
-    # sum (c[i+1]-c[i])^2 == 2*(sum c^2 - sum c[i]*c[i+1]) - c[0]^2 - c[W-1]^2
-    # needs only the occupied windows; int64 dots are exact and skip BLAS.
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    occupied = k[starts]
-    counts = np.diff(np.append(starts, k.size))
-    adjacent = occupied[1:] == occupied[:-1] + 1
-    num = 2 * (np.dot(counts, counts)
-               - np.dot(counts[:-1][adjacent], counts[1:][adjacent]))
-    if occupied[0] == 0:
-        num -= counts[0] * counts[0]
-    if occupied[-1] == n_windows - 1:
-        num -= counts[-1] * counts[-1]
-    return (num / (n_windows - 1)) / (2.0 * k.size / n_windows)
-
-
-def _af_from_edges(edges: np.ndarray, n_windows: int) -> float:
-    # The counts are diff(edges): the same exact integer sum of squared
-    # count differences and the same float expression as _af_from_windows.
-    d = np.diff(edges, 2)
-    return (np.dot(d, d) / (n_windows - 1)) / (2.0 * int(edges[-1]) / n_windows)
+def _dense_sums(rel: np.ndarray, tau: float, n_windows: int,
+                row_ids: np.ndarray, row_starts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    # Dense regime for a block of rows at one tau; returns the per-row
+    # integers that _af_grid finishes.  Every event gets its window
+    # index; events past the last complete window are clamped to a
+    # sentinel window W, and row r's windows are keyed from base
+    # r*(W+2).  The flat keys then ascend through the whole block, and no
+    # two rows' windows are adjacent, so one run-length pass sums
+    # c^2 - c[i]*c[i+1] over the occupied windows of every row, the
+    # sentinel included; int64 sums are exact.  A search of the flat keys
+    # gives each row's events below windows 1, W-1 and W.
+    base = row_ids * (n_windows + 2)
+    k = (rel / tau).astype(np.int64)
+    np.minimum(k, n_windows, out=k)
+    k += base[:, None]
+    k = k.ravel()
+    new = np.empty(k.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(k[1:], k[:-1], out=new[1:-1])
+    bounds = np.flatnonzero(new)
+    counts = bounds[1:] - bounds[:-1]
+    keys = k[bounds[:-1]]
+    terms = counts * counts
+    adjacent = np.flatnonzero(keys[1:] - keys[:-1] == 1)
+    terms[adjacent] -= counts[adjacent] * counts[adjacent + 1]
+    runs = np.add.reduceat(terms, np.searchsorted(bounds, row_starts))
+    below = np.searchsorted(k, np.add.outer((1, n_windows - 1, n_windows),
+                                            base))
+    return runs, below - row_starts
 
 
 def _window_edges(rel: np.ndarray, tau: float, n_windows: int) -> np.ndarray:
@@ -164,55 +182,100 @@ def _window_edges(rel: np.ndarray, tau: float, n_windows: int) -> np.ndarray:
 
 
 def _af_grid(times: np.ndarray, window_start: float, duration: float,
-             taus: np.ndarray) -> tuple[np.ndarray, dict[float, str]]:
-    """Allan factor at every tau of a grid from sorted event times.
+             taus: np.ndarray) -> np.ndarray:
+    """Allan factor at every tau of a grid for a block of processes.
 
-    Returns the values and the reason for every undefined (NaN) point,
-    keyed by tau: the window must hold two complete counting windows
-    and at least two events must fall inside them (a lone event has no
-    count structure to difference).
+    ``times`` is a 2-D block: each row holds the sorted event times of
+    one process on the same window, and every row has the same number
+    of events.  Returns a (rows, taus) array, NaN where the factor is
+    undefined: the window must hold two complete counting windows and at
+    least two events of the row must fall inside them (a lone event has
+    no count structure to difference).
 
     Two exact counting regimes, chosen per tau from the event count n
     and the number W of complete counting windows:
 
-    - *dense*: every event gets its window index, and the factor comes
-      from the occupied windows (``_af_from_windows``);
+    - *dense*: every event gets its window index, and one run-length
+      pass over the whole block sums the occupied windows of every row
+      (``_dense_sums``);
     - *edges*: the W+1 window boundaries come from ``searchsorted``,
-      corrected to the same per-event rule, and the counts are their
-      differences (``_af_from_edges``).
+      corrected to the same per-event rule (``_window_edges``), and the
+      counts are their differences, row by row.
 
-    Per tau, on one core of a 2-CPU Xeon with numpy 2.4, the dense
-    regime costs about 35 µs + 0.004 µs·n and the edge regime about
-    40 µs + 0.08 µs·W.  Edges win when n exceeds about 20·W, and never
-    by more than noise below about 5,000 events, so they are used when
+    The edge thresholds come from timing one row per call, per tau, on
+    one core of a 2-CPU Xeon with numpy 2.4: the dense regime cost about
+    35 µs + 0.004 µs·n and the edge regime about 40 µs + 0.08 µs·W.
+    Edges win when n exceeds about 20·W, and never by more than noise
+    below about 5,000 events, so they are used when
     n >= ``_EDGE_MIN_EVENTS`` and n > ``_EDGE_EVENTS_PER_WINDOW``·W.
-    Both regimes form the same integer sum of squared count differences
-    and the same float expression, so the values are the same bits
-    either way.
+    Both regimes give the same exact integers per row, and one integer
+    and float expression finishes them, so the values are the same bits
+    either way, and a row's values do not depend on the block it sits in.
+
+    The dense regime's fixed cost per tau is paid once per block, so the
+    surrogate sweep hands over max(1, ``_BLOCK_EVENTS`` // n) rows at a
+    time.  Seconds for one ``cell_bands`` sweep (draws, Cv, Lv and the
+    factor) of 1000 surrogates × 60 taus on a 10-year station grid (1200
+    s to a tenth of the span), same machine, by block size B; "1 row"
+    calls once per row, and the first column is the sweep before blocks:
+
+    ======  ======  =====  =====  =====  =====  =====
+    n       before  1 row  8k     16k    32k    64k
+    ======  ======  =====  =====  =====  =====  =====
+    30      0.92    1.20   0.04   0.04   0.05   0.05
+    100     0.95    1.22   0.08   0.08   0.08   0.12
+    300     1.10    1.32   0.19   0.16   0.14   0.29
+    1,000   1.39    1.60   0.53   0.44   0.40   0.83
+    2,000   1.76    1.92   0.95   0.83   0.73   1.37
+    4,500   2.56    2.61   2.52   1.68   1.33   2.66
+    8,000   3.58    3.27   3.32   2.84   2.63   4.05
+    ======  ======  =====  =====  =====  =====  =====
+
+    Every temporary of a 64k block is 512 kB.  glibc serves allocations
+    of 128 KiB or more from fresh mappings, and its heap trimming kept
+    handing them back, so each one page-faults again: the 64k column took
+    up to 1.2 million minor faults per sweep.  The 32k column took at
+    most 1,374 in this run but 0.4 to 1.3 million from 1,000 events up
+    in an earlier one, where it lost to 16k (0.93 against 0.56 s at
+    1,000 events).  B is 16,000, which
+    keeps every int64 temporary under 128 KiB, so the sweep never pays
+    that price.
     """
-    af = np.full(taus.size, np.nan)
-    reasons: dict[float, str] = {}
+    rows, n = times.shape
+    runs = np.zeros((rows, taus.size), dtype=np.int64)
+    below = np.zeros((3, rows, taus.size), dtype=np.int64)
+    n_windows = np.array([int(duration // tau) for tau in taus], dtype=np.int64)
     rel = times - window_start
+    row_ids = np.arange(rows)
+    row_starts = row_ids * n
     for i, tau in enumerate(taus):
-        n_windows = int(duration // tau)
-        if n_windows < 2:
-            reasons[float(tau)] = "fewer than two complete counting windows"
+        w = int(n_windows[i])
+        if w < 2 or n < 2:
             continue
-        by_edges = (rel.size >= _EDGE_MIN_EVENTS
-                    and rel.size > _EDGE_EVENTS_PER_WINDOW * n_windows)
-        if by_edges:
-            edges = _window_edges(rel, tau, n_windows)
-            m = int(edges[-1])
+        if n >= _EDGE_MIN_EVENTS and n > _EDGE_EVENTS_PER_WINDOW * w:
+            for r in range(rows):
+                edges = _window_edges(rel[r], tau, w)
+                c = np.diff(edges, append=n)
+                runs[r, i] = np.dot(c, c) - np.dot(c[:-1], c[1:])
+                below[:, r, i] = edges[[1, w - 1, w]]
         else:
-            k = (rel / tau).astype(np.int64)
-            k = k[: np.searchsorted(k, n_windows, side="left")]
-            m = k.size
-        if m < 2:
-            reasons[float(tau)] = "fewer than two events in complete windows"
-            continue
-        af[i] = (_af_from_edges(edges, n_windows) if by_edges
-                 else _af_from_windows(k, n_windows))
-    return af, reasons
+            runs[:, i], below[:, :, i] = _dense_sums(rel, tau, w, row_ids,
+                                                     row_starts)
+    # Both regimes give, per row, the sum of c^2 - c[i]*c[i+1] over the
+    # windows and the sentinel (the t events past the last window), and
+    # the events below windows 1, W-1 and W.  Then
+    #   sum (c[i+1]-c[i])^2 == 2*(sum c^2 - sum c[i]*c[i+1]) - c[0]^2 - c[W-1]^2
+    # once the sentinel's square and its product with window W-1 are
+    # taken out again.  A point with fewer than two events (or windows)
+    # is 0/0 or x/0 in the float expression and becomes NaN.
+    c_first, m = below[0], below[2]
+    c_last = m - below[1]
+    t = n - m
+    num = 2 * (runs - t * (t - c_last)) - c_first * c_first - c_last * c_last
+    with np.errstate(divide="ignore", invalid="ignore"):
+        af = (num / (n_windows - 1)) / (2.0 * m / n_windows)
+    af[m < 2] = np.nan
+    return af
 
 
 def _tau_grid(taus, dt: float, allow_empty: bool = False) -> np.ndarray:
@@ -271,7 +334,11 @@ def af_curve(pp: MarkedPointProcess, taus: np.ndarray) -> AfCurve:
     they are never zero-filled.
     """
     taus = _tau_grid(taus, pp.dt)
-    af, reasons = _af_grid(pp.times, pp.window_start, pp.duration, taus)
+    af = _af_grid(pp.times[None, :], pp.window_start, pp.duration, taus)[0]
+    reasons = {float(tau): "fewer than two complete counting windows"
+               if pp.duration // tau < 2
+               else "fewer than two events in complete windows"
+               for tau in taus[np.isnan(af)]}
     percentile = pp.threshold.percentile if pp.threshold is not None else None
     return AfCurve(taus=taus, af=af, station_id=pp.station_id,
                    percentile=percentile, min_run_length=pp.min_run_length,

@@ -24,7 +24,7 @@ from .allan import DP_CUTOFF, af_curve, departure, fit_power_law
 from .ingest import parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
     _write_json
-from .runs import read_events, write_events
+from .runs import _atomic_write_text, read_events, write_events
 from .stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
 from .surrogates import SurrogateConfig, cell_bands
@@ -223,7 +223,7 @@ def _cmd_af(parser: _Parser, args) -> int:
               for i in range(len(taus))]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _atomic_write_text(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

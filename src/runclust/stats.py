@@ -71,6 +71,19 @@ def local_coefficient_of_variation(intervals) -> float:
     return float(np.mean(3.0 * (a - b) ** 2 / (a + b) ** 2))
 
 
+def _dispersion_rows(intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Cv and Lv of every row of a 2-D block of interevent times: the
+    # reductions of coefficient_of_variation and
+    # local_coefficient_of_variation taken along each row, which gives
+    # each row the same bits as the 1-D call on it.
+    if np.any(intervals <= 0):
+        raise ValueError("interevent times must be positive")
+    a = intervals[:, :-1]
+    b = intervals[:, 1:]
+    return (np.std(intervals, axis=1) / np.mean(intervals, axis=1),
+            np.mean(3.0 * (a - b) ** 2 / (a + b) ** 2, axis=1))
+
+
 def mean_interevent_time(intervals) -> float:
     """Arithmetic mean interevent time in seconds.
 

@@ -8,8 +8,9 @@ many surrogates turns it into a significance test: values above the
 band mean clustering, values below mean quasi-periodicity.
 
 Every band comes from one sweep, :func:`cell_bands`, which evaluates
-Cv, Lv and the Allan factor on each surrogate in turn; with an empty
-tau grid it returns only the Cv and Lv bands.
+Cv, Lv and the Allan factor on blocks of surrogates, one surrogate per
+row, so that the fixed cost of each evaluation is shared by the block;
+with an empty tau grid it returns only the Cv and Lv bands.
 
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allan import _af_grid, _tau_grid
+from .allan import _BLOCK_EVENTS, _af_grid, _tau_grid
 from .runs import MarkedPointProcess, linear_quantile
-from .stats import coefficient_of_variation, interevent_times, \
-    local_coefficient_of_variation
+from .stats import _dispersion_rows, coefficient_of_variation, \
+    interevent_times, local_coefficient_of_variation
 
 __all__ = [
     "AfBand",
@@ -197,9 +198,12 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     """Cv band, Lv band and Allan-factor band from one surrogate sweep.
 
     Surrogate i is stream i of the configured seed, with the same times
-    as ``poisson_surrogate(pp, config.seed, i)``.  Cv and Lv bands take
-    the configured quantiles of the surrogate values with the same
-    rank-interpolation estimator used for thresholds.  At each tau,
+    as ``poisson_surrogate(pp, config.seed, i)``.  Surrogates are drawn
+    and evaluated in blocks of about ``_BLOCK_EVENTS`` event times, so
+    memory stays bounded however many surrogates are asked for; a
+    surrogate's values do not depend on the block it falls in.  Cv and
+    Lv bands take the configured quantiles of the surrogate values with
+    the same rank-interpolation estimator used for thresholds.  At each tau,
     surrogates whose Allan factor is undefined contribute no sample
     rather than a placeholder.  Needs at least 3 events so Cv and Lv
     are defined on every surrogate; the grid is checked as in
@@ -215,15 +219,18 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     obs_cv = coefficient_of_variation(observed)
     obs_lv = local_coefficient_of_variation(observed)
 
-    cv_samples = np.empty(config.n_surrogates)
-    lv_samples = np.empty(config.n_surrogates)
-    values = np.empty((config.n_surrogates, taus.size))
-    for i in range(config.n_surrogates):
-        _, times = _surrogate_times(pp, config.seed, i)
-        d = np.diff(times)
-        cv_samples[i] = coefficient_of_variation(d)
-        lv_samples[i] = local_coefficient_of_variation(d)
-        values[i], _ = _af_grid(times, pp.window_start, pp.duration, taus)
+    n_surrogates = config.n_surrogates
+    cv_samples = np.empty(n_surrogates)
+    lv_samples = np.empty(n_surrogates)
+    values = np.empty((n_surrogates, taus.size))
+    rows = max(1, _BLOCK_EVENTS // pp.n_events)
+    for lo in range(0, n_surrogates, rows):
+        hi = min(lo + rows, n_surrogates)
+        block = np.stack([_surrogate_times(pp, config.seed, i)[1]
+                          for i in range(lo, hi)])
+        cv_samples[lo:hi], lv_samples[lo:hi] = _dispersion_rows(
+            np.diff(block, axis=1))
+        values[lo:hi] = _af_grid(block, pp.window_start, pp.duration, taus)
     bands = (_scalar_band_from_samples("cv", obs_cv, cv_samples, config),
              _scalar_band_from_samples("lv", obs_lv, lv_samples, config))
     if taus.size == 0:

@@ -154,6 +154,74 @@ def test_af_curve_edge_regime_exact():
             assert value == allan_factor(counting_process(pp, tau))
 
 
+def _reference_af(times, window, tau, start=0.0):
+    # allan_factor(counting_process(...)) of one row, NaN where the curve
+    # leaves the point undefined.
+    pp = MarkedPointProcess(times=times, lengths=np.ones(len(times), dtype=int),
+                            window_start=start, window_end=start + window,
+                            dt=0.0)
+    try:
+        cp = counting_process(pp, tau)
+    except ValueError:
+        return np.nan
+    return allan_factor(cp) if cp.counts.sum() >= 2 else np.nan
+
+
+def test_af_grid_block_rows_exact():
+    # Every row of a block is one process on the shared window; each must
+    # get the bits of the two-step definition on that row alone, and the
+    # same bits whatever block it sits in.
+    window = 100.0
+    rows = [
+        [1.0, 95.0, 96.0, 97.0, 98.0, 99.0],     # one event inside W*tau
+        [91.0, 92.0, 93.0, 94.0, 95.0, 96.0],    # all past the last window
+        [0.5, 50.0, 88.0, 89.5, 95.0, 99.9],     # window W-1 beside a tail of 2
+        [0.0, 5.0, 40.0, 55.0, 89.9, 99.5],      # first and last windows, tail
+        [0.0, 10.0, 30.0, 45.0, 60.0, 90.0],     # on the 5 s grid, on edges
+        [0.0, 15.0, 30.0, 45.0, 60.0, 75.0],     # grid, every edge of tau 15
+    ]
+    rng = surrogate_rng(97)
+    rows += [np.sort(rng.choice(np.arange(0.0, 100.0, 2.5), 6, replace=False))
+             for _ in range(6)]
+    rows += [np.sort(rng.random(6)) * window for _ in range(6)]
+    block = np.array(rows, dtype=float)
+    taus = np.array([0.25, 5.0, 7.0, 10.0, 15.0, 30.0, 45.0, 50.0, 60.0])
+    af = allan._af_grid(block, 0.0, window, taus)
+    assert af.shape == (block.shape[0], taus.size)
+    for r, row in enumerate(block):
+        expected = [_reference_af(row, window, tau) for tau in taus]
+        assert np.array_equal(af[r], expected, equal_nan=True)
+        alone = allan._af_grid(block[r:r + 1], 0.0, window, taus)
+        assert np.array_equal(alone[0], af[r], equal_nan=True)
+    # Fewer than two events inside the windows at 15, 30 and 45 s; at
+    # 60 s no row has two complete windows.
+    assert np.isnan(af[:2]).sum(axis=1).tolist() == [4, 4]
+    assert np.isnan(af[:, -1]).all() and not np.isnan(af[2:, :-1]).any()
+
+    # Rounding can put an event past the last window at index W+1, not
+    # W: 3.0 // 0.1 is 29, yet (t - 0.7)/0.1 truncates to 30 for the last
+    # event of the first row.  The clamp keeps it off the next row.
+    start, window = 0.7, 3.0
+    odd = np.array([[0.7, 1.0, 2.0, 3.65, 3.69, np.nextafter(3.7, 0.0)],
+                    [0.7, 0.75, 0.85, 1.5, 2.0, 3.0]])
+    taus = np.array([0.1, 0.2])
+    assert int((odd[0, -1] - start) / taus[0]) == window // taus[0] + 1
+    af = allan._af_grid(odd, start, window, taus)
+    for r, row in enumerate(odd):
+        expected = [_reference_af(row, window, tau, start) for tau in taus]
+        assert np.array_equal(af[r], expected)
+
+    # Rows large enough for the edge regime are counted row by row.
+    big = np.sort(rng.random((2, allan._EDGE_MIN_EVENTS)) * 1e6, axis=1)
+    big[1, -50:] = np.sort(1e6 - rng.random(50) * 999.0)
+    taus = np.array([1e4, 3e4, 4e5])
+    af = allan._af_grid(big, 0.0, 1e6, taus)
+    for r, row in enumerate(big):
+        assert row.size > allan._EDGE_EVENTS_PER_WINDOW * (1e6 // taus[0])
+        expected = [_reference_af(row, 1e6, tau) for tau in taus]
+        assert np.array_equal(af[r], expected)
+
+
 def test_af_curve_undefined_points():
     pp = make_pp([10.0, 20.0], 1000.0)
     curve = af_curve(pp, np.array([100.0, 400.0, 600.0]))

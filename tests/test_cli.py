@@ -9,6 +9,7 @@ interpreters; a single subprocess smoke test covers the
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,33 @@ def test_af_band_csv_departure_beyond_cutoff(tmp_path, capsys):
             assert dp == ""       # departure starts strictly past the cutoff
         else:
             assert float(dp) == float(af) - float(hi)
+
+
+def test_af_out_replaces_file_atomically(tmp_path, capsys, monkeypatch):
+    events = tmp_path / "ev.csv"
+    call(["synth", "periodic", "--seed", "3", "--period", "6000",
+          "--window", "6e6", "--out", str(events)])
+    argv = ["af", str(events), "--tau-lo", "1200", "--tau-hi", "60000",
+            "--tau-points", "8", "--no-fit"]
+    call(argv)
+    printed = capsys.readouterr().out.splitlines()
+    expected = "\n".join(printed[printed.index("tau_seconds,af"):]) + "\n"
+
+    out_csv = tmp_path / "af.csv"
+    out_csv.write_text("stale\n")
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert call(argv + ["--out", str(out_csv)]) == 0
+    assert [dst for _, dst in replaced] == [out_csv]
+    assert out_csv.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["af.csv", "ev.csv",
+                                                          "ev.json"]
 
 
 def test_af_usage_errors_exit_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from runclust import MarkedPointProcess, RunLengthDensity, average_density, \
     coefficient_of_variation, filter_by_min_length, interevent_times, \
     local_coefficient_of_variation, mean_interevent_time, run_length_density
+from runclust.stats import _dispersion_rows
 from runclust.surrogates import surrogate_rng
 
 
@@ -48,6 +49,23 @@ def test_dispersion_validation():
             fn([1.0, -2.0])
         with pytest.raises(ValueError, match="positive"):
             fn([1.0, 0.0])
+
+
+def test_dispersion_rows_match_one_dimensional():
+    # The surrogate sweep takes Cv and Lv of a whole block of surrogates
+    # at once; each row must get the bits of the 1-D call on that row.
+    rng = surrogate_rng(29)
+    for n in (3, 4, 129, 4051):
+        times = np.sort(rng.random((7, n)) * 3.15e8, axis=1)
+        times[0] = 600.0 * np.arange(n)            # equal intervals: Lv 0
+        intervals = np.diff(times, axis=1)
+        cv, lv = _dispersion_rows(intervals)
+        for row, row_cv, row_lv in zip(intervals, cv, lv):
+            assert row_cv == coefficient_of_variation(row)
+            assert row_lv == local_coefficient_of_variation(row)
+
+    with pytest.raises(ValueError, match="positive"):
+        _dispersion_rows(np.array([[1.0, 2.0], [1.0, 0.0]]))
 
 
 def test_exponential_intervals_near_one():

@@ -1,8 +1,11 @@
 """Tests for Poissonian surrogates and confidence bands."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from runclust import allan, surrogates
 from runclust import MarkedPointProcess, SurrogateConfig, allan_factor, \
     cell_bands, counting_process, linear_quantile, poisson_surrogate, \
     surrogate_rng
@@ -166,6 +169,59 @@ def test_cell_bands_golden():
         values = [allan_factor(counting_process(s, tau)) for s in surrogates]
         assert curve_band.lo[j] == linear_quantile(values, 0.025)
         assert curve_band.hi[j] == linear_quantile(values, 0.975)
+
+
+def test_cell_bands_independent_of_block_size(monkeypatch):
+    # The sweep evaluates its surrogates in row blocks; the rows a block
+    # holds must not change any value, so the bands are the same for one
+    # block of all surrogates, one surrogate per block, and a count that
+    # is not a multiple of the block.
+    pp = make_pp(n=90)
+    taus = np.geomspace(2e3, 4e5, 12)
+    n_surrogates = 23
+    config = SurrogateConfig(seed=19, n_surrogates=n_surrogates)
+    block = np.stack([poisson_surrogate(pp, 19, stream=i).times
+                      for i in range(n_surrogates)])
+    whole = allan._af_grid(block, pp.window_start, pp.duration, taus)
+    bands = cell_bands(pp, taus, config)
+    for rows in (n_surrogates, 1, 5):
+        sliced = np.vstack([
+            allan._af_grid(block[lo:lo + rows], pp.window_start, pp.duration,
+                           taus)
+            for lo in range(0, n_surrogates, rows)])
+        assert np.array_equal(sliced, whole, equal_nan=True)
+
+        monkeypatch.setattr(surrogates, "_BLOCK_EVENTS", rows * pp.n_events)
+        cv_band, lv_band, af_band = cell_bands(pp, taus, config)
+        assert (cv_band, lv_band) == bands[:2]
+        for name in ("lo", "hi", "n_samples"):
+            assert np.array_equal(getattr(af_band, name),
+                                  getattr(bands[2], name), equal_nan=True)
+    assert np.all(bands[2].n_samples == n_surrogates)
+    for j in range(taus.size):
+        assert bands[2].lo[j] == linear_quantile(whole[:, j], 0.025)
+        assert bands[2].hi[j] == linear_quantile(whole[:, j], 0.975)
+
+
+def test_cell_bands_memory_bounded_by_block():
+    # Ten times the surrogates may grow the traced peak by the larger
+    # (surrogates x taus) values and scalar samples, not by the drawn
+    # times: the sweep never holds more than one block of them.
+    pp = make_pp(n=4500, window=3.15e8)
+    taus = np.geomspace(1.2e3, 3e7, 6)
+
+    def peak(n_surrogates):
+        tracemalloc.start()
+        try:
+            cell_bands(pp, taus, SurrogateConfig(seed=3,
+                                                 n_surrogates=n_surrogates))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = 900 * (taus.size + 2) * 8
+    slack = 256 * 1024
+    assert peak(1000) - peak(100) <= grown + slack
 
 
 def test_surrogate_config_validation():
