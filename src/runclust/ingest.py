@@ -7,14 +7,22 @@ sampling step ``dt``: grid slots without a row, and rows whose value
 field is empty or NaN, are recorded in an explicit boolean mask.  The
 mask is the only authority on missingness; no finite value is ever
 treated as a sentinel.
+
+:func:`write_series` stamps rows ``YYYY-MM-DDTHH:MM:SSZ`` (with
+microseconds where they are not zero).  :func:`parse_series` reads any
+ISO-8601 UTC form, but decodes that one with array arithmetic, block by
+block, so a year of ten-minute rows parses without a Python-level loop
+over the rows; other forms take ``datetime.fromisoformat`` row by row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +152,166 @@ def _parse_timestamp(text: str, path, line: int) -> datetime:
     return stamp
 
 
+# Row checks of parse_series, in the order the row loop applied them; a row's
+# fault is the first of these that it fails.
+(_FIELDS, _STAMP, _PRECEDES, _OFF_GRID, _DUPLICATE, _UNSORTED, _BAD_VALUE,
+ _NEGATIVE, _INFINITE) = range(1, 10)
+
+# Block sizes of the parse, in characters where rows are split with
+# ``str.split`` and in rows where ``csv.reader`` splits them: they bound
+# the parse's temporaries to a few hundred kilobytes, whatever the file's
+# length.
+_CHUNK_CHARS = 1 << 17
+_CHUNK_ROWS = 4096
+
+_DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":", 19: "Z"}
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _canonical_epoch(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of the stamps in the form ``YYYY-MM-DDTHH:MM:SSZ``.
+
+    Returns a mask of the stamps in that form that name a real instant
+    (year >= 1, month lengths and leap years checked) and their epoch
+    seconds; other stamps are left to :func:`_parse_timestamp`.
+    """
+    n = len(stamps)
+    ok = np.fromiter(map(len, stamps), np.intp, n) == 20
+    # U20 truncates longer stamps, which the length mask already rejects.
+    chars = np.array(stamps, dtype="U20").view(np.uint32).reshape(n, 20)
+    for col, sep in _SEPARATORS.items():
+        ok &= chars[:, col] == ord(sep)
+    digits = chars[:, _DIGIT_COLS].astype(np.int64) - ord("0")
+    ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
+    tens = digits[:, 0::2] * 10 + digits[:, 1::2]   # YY YY MM DD hh mm ss
+    year = tens[:, 0] * 100 + tens[:, 1]
+    month, day, hour, minute, second = tens[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59))
+    # Days from 1970-01-01 to the civil date (Hinnant's days_from_civil).
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    return ok, days * 86400 + hour * 3600 + minute * 60 + second
+
+
+def _parse_values(fields) -> tuple[np.ndarray, np.ndarray | None]:
+    """Value fields as floats, NaN where empty, and the mask of malformed
+    fields (``None`` when there is none).  ``float`` decides what parses,
+    so whitespace, ``nan``, exponents and underscores are accepted."""
+    try:
+        return np.array([float(text or "nan") for text in fields]), None
+    except ValueError:
+        pass
+    values = np.empty(len(fields))
+    malformed = np.zeros(len(fields), dtype=bool)
+    for i, text in enumerate(fields):
+        field = text.strip()
+        try:
+            values[i] = float(field) if field else math.nan
+        except ValueError:
+            values[i] = math.nan
+            malformed[i] = True
+    return values, malformed
+
+
+def _fault_message(fault: int, n_fields: int, field: str, value: float) -> str:
+    if fault == _FIELDS:
+        return f"expected 2 fields, got {n_fields}"
+    if fault == _PRECEDES:
+        return "timestamp precedes the first row"
+    if fault == _OFF_GRID:
+        return "timestamp off the sampling grid by more than dt/2"
+    if fault == _DUPLICATE:
+        return "duplicate timestamp"
+    if fault == _UNSORTED:
+        return "timestamps not sorted"
+    if fault == _BAD_VALUE:
+        return f"malformed value {field!r}"
+    if fault == _NEGATIVE:
+        return f"negative value {value!r}"
+    return f"infinite value {field!r}"
+
+
+def _read_rows(records) -> tuple[list, Exception | None]:
+    """The rows ``records`` yields and the ``csv.Error`` that cut them
+    short, if any: the rows before an unreadable one are validated first,
+    so their faults are reported first."""
+    rows: list = []
+    try:
+        rows.extend(records)
+    except csv.Error as exc:
+        return rows, exc
+    return rows, None
+
+
+def _row_block(rows: list) -> tuple:
+    """``csv.reader`` rows as ``_row_blocks`` yields them: the positions of
+    the non-blank rows, their field counts, stamps and value fields."""
+    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
+    index = np.flatnonzero(n_fields)
+    if index.size < len(rows):
+        rows = [row for row in rows if row]
+        n_fields = n_fields[index]
+    if (n_fields != 2).any():
+        rows = [row if len(row) == 2 else ("", "") for row in rows]
+    stamps, fields = zip(*rows) if rows else ((), ())
+    return index, n_fields, stamps, fields
+
+
+def _row_blocks(handle):
+    """The data records of an open series CSV, split into fields exactly
+    as ``csv.reader`` splits them, in blocks of whole lines.
+
+    Yields ``(n_records, index, n_fields, stamps, fields, error)``: the
+    records the block consumed, the positions among them of the non-blank
+    ones, and for those their field counts, first and second fields
+    (empty where a record has not two fields), and the ``csv.Error`` that
+    ended the file early, if any.  A block of two-field records without
+    quotes is split with ``str.split``; any other block goes through
+    ``csv.reader``, and from the first quote on so does the rest of the
+    file, because a quoted field may hold a line break.
+    """
+    limit = csv.field_size_limit()
+    while True:
+        text = handle.read(_CHUNK_CHARS)
+        if not text:
+            return
+        if not text.endswith("\n"):
+            text += handle.readline()
+        if '"' in text:
+            reader = csv.reader(chain(io.StringIO(text, newline=""), handle))
+            while True:
+                rows, error = _read_rows(islice(reader, _CHUNK_ROWS))
+                yield (len(rows), *_row_block(rows), error)
+                if error is not None or len(rows) < _CHUNK_ROWS:
+                    return
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if text.endswith("\n"):
+            text = text[:-1]
+        n_records = text.count("\n") + 1
+        chars = np.frombuffer(text.encode(), np.uint8)
+        breaks = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+        seps = chars[breaks]
+        if (seps.size == 2 * n_records - 1 and (seps[0::2] == ord(",")).all()
+                and (seps[1::2] == ord("\n")).all()
+                and np.diff(breaks, prepend=-1, append=chars.size).max() <= limit + 1):
+            flat = text.replace("\n", ",").split(",")
+            yield (n_records, np.arange(n_records), np.full(n_records, 2),
+                   flat[0::2], flat[1::2], None)
+        else:
+            rows, error = _read_rows(csv.reader(text.split("\n")))
+            yield (n_records, *_row_block(rows), error)
+            if error is not None:
+                return
+
+
 def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> SampledSeries:
     """Parse a station CSV into a :class:`SampledSeries`.
 
@@ -151,6 +319,16 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     is snapped to its nearest slot and must sit within ``dt/2`` of it;
     slots no row maps to become missing, as do rows with an empty or NaN
     value field.
+
+    Rows are validated in blocks of a few thousand, with array
+    arithmetic.  Stamps of the form ``YYYY-MM-DDTHH:MM:SSZ``, the one
+    :func:`write_series` writes, are decoded from their digits; any
+    other stamp (``+00:00``, naive, fractional seconds) goes through
+    ``datetime.fromisoformat``.  Each value field goes through
+    ``float``.  The first faulty row is reported, with the first of its
+    faults in this order: field count, malformed timestamp, timestamp
+    not UTC, timestamp before the first row, off the grid, duplicate,
+    unsorted, malformed value, negative value, infinite value.
 
     Parameters
     ----------
@@ -169,8 +347,8 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     ------
     ParseError
         On an unreadable file, bad header, malformed row, duplicate or
-        unsorted timestamp, off-grid timestamp, or negative value.  The
-        message carries the file and line number.
+        unsorted timestamp, off-grid timestamp, or negative or infinite
+        value.  The message carries the file and line number.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -180,84 +358,117 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", path) from exc
 
-    slots: list[int] = []
-    row_values: list[float] = []
-    row_missing: list[bool] = []
+    slot_blocks: list[np.ndarray] = []
+    value_blocks: list[np.ndarray] = []
+    t0 = None
+    t0_epoch = 0.0
+    prev_slot = -1.0
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None or [h.strip() for h in header] != ["timestamp", "value"]:
             raise ParseError("expected header 'timestamp,value'", path, 1)
-        t0 = None
-        t0_epoch = 0.0
-        prev_slot = -1
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", path, line)
-            stamp = _parse_timestamp(row[0], path, line)
-            if t0 is None:
-                t0 = stamp
-                t0_epoch = stamp.timestamp()
-            offset = stamp.timestamp() - t0_epoch
-            slot = round(offset / dt)
-            if slot < 0:
-                raise ParseError("timestamp precedes the first row", path, line)
-            if abs(offset - slot * dt) > dt / 2:
-                raise ParseError(
-                    f"timestamp off the sampling grid by more than dt/2", path, line)
-            if slot == prev_slot:
-                raise ParseError("duplicate timestamp", path, line)
-            if slot < prev_slot:
-                raise ParseError("timestamps not sorted", path, line)
-            prev_slot = slot
+        next_line = 2
+        for n_records, index, n_fields, stamps, fields, read_error in _row_blocks(handle):
+            lines = next_line + index
+            next_line += n_records
+            if index.size:
+                fault = np.where(n_fields == 2, 0, _FIELDS)
+                canonical, seconds = _canonical_epoch(stamps)
+                times = seconds.astype(float)
+                stamp_errors = {}
+                for i in np.flatnonzero(~canonical & (fault == 0)):
+                    try:
+                        times[i] = _parse_timestamp(stamps[i], path,
+                                                    int(lines[i])).timestamp()
+                    except ParseError as exc:
+                        fault[i] = _STAMP
+                        stamp_errors[i] = exc
+                if t0 is None and not fault[0]:
+                    t0 = _parse_timestamp(stamps[0], path, int(lines[0]))
+                    t0_epoch = t0.timestamp()
 
-            field = row[1].strip()
-            try:
-                value = float(field) if field else math.nan
-            except ValueError:
-                raise ParseError(f"malformed value {row[1]!r}", path, line) from None
-            if value < 0:
-                raise ParseError(f"negative value {value!r}", path, line)
-            if math.isinf(value):
-                raise ParseError(f"infinite value {row[1]!r}", path, line)
-            slots.append(slot)
-            row_values.append(value)
-            row_missing.append(math.isnan(value))
+                # Float slots compare exactly as the integers ``round`` gives.
+                offset = times - t0_epoch
+                slots = np.rint(offset / dt)
+                prev = np.concatenate(([prev_slot], slots[:-1]))
+                values, malformed = _parse_values(fields)
+                checks = [
+                    (_PRECEDES, slots < 0),
+                    (_OFF_GRID, np.abs(offset - slots * dt) > dt / 2),
+                    (_DUPLICATE, slots == prev),
+                    (_UNSORTED, slots < prev),
+                    (_BAD_VALUE, malformed),
+                    (_NEGATIVE, values < 0),
+                    (_INFINITE, np.isinf(values)),
+                ]
+                for code, failed in checks:
+                    if failed is not None:
+                        fault[(fault == 0) & failed] = code
+                bad = np.flatnonzero(fault)
+                if bad.size:
+                    i = bad[0]
+                    if fault[i] == _STAMP:
+                        raise stamp_errors[i]
+                    message = _fault_message(fault[i], int(n_fields[i]), fields[i],
+                                             float(values[i]))
+                    raise ParseError(message, path, int(lines[i]))
+                prev_slot = slots[-1]
+                slot_blocks.append(slots.astype(np.intp))
+                value_blocks.append(values)
+            if read_error is not None:
+                raise read_error
 
     if t0 is None:
         raise ParseError("no data rows", path)
 
-    n_samples = prev_slot + 1
+    n_samples = int(prev_slot) + 1
     values = np.full(n_samples, np.nan)
     missing = np.ones(n_samples, dtype=bool)
-    idx = np.asarray(slots, dtype=np.intp)
-    values[idx] = row_values
-    missing[idx] = row_missing
+    for idx, block in zip(slot_blocks, value_blocks):
+        values[idx] = block
+        missing[idx] = np.isnan(block)
     return SampledSeries(station_id=station_id, t0=t0, dt=float(dt),
                          values=values, missing=missing)
+
+
+def _timedelta_us(seconds: np.ndarray) -> np.ndarray:
+    """Whole microseconds of ``timedelta(seconds=s)`` for each ``s >= 0``,
+    rounded as ``timedelta`` rounds them: the integer part exactly, the
+    fraction times 1e6 in float, its leftover half to even."""
+    whole = np.trunc(seconds)
+    micro = (seconds - whole) * 1e6
+    micro_whole = np.trunc(micro)
+    leftover = micro - micro_whole
+    us = whole.astype(np.int64) * 1_000_000 + micro_whole.astype(np.int64)
+    return us + ((leftover > 0.5) | ((leftover == 0.5) & (us % 2 == 1)))
 
 
 def write_series(series: SampledSeries, path: str | Path) -> None:
     """Write a series back to CSV, missing slots as rows with an empty value.
 
     Inverse of :func:`parse_series`: reparsing the written file with the
-    same ``dt`` reproduces the series exactly.
+    same ``dt`` reproduces the series exactly.  Row ``k`` is stamped
+    ``t0 + timedelta(seconds=k*dt)`` in ISO form with a ``Z`` suffix
+    (microseconds only when they are not zero) and holds ``repr`` of the
+    value; lines end in CRLF, as the ``csv`` module writes them.  Rows
+    are formatted in blocks, with array arithmetic on the stamps.
     """
     path = Path(path)
-    t0 = series.t0
-    dt = series.dt
+    t0 = np.datetime64(series.t0.replace(tzinfo=None), "us")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "value"])
-        for k in range(series.n_samples):
-            stamp = (t0 + timedelta(seconds=k * dt)).isoformat()
-            stamp = stamp.replace("+00:00", "Z")
-            if series.missing[k]:
-                writer.writerow([stamp, ""])
-            else:
-                writer.writerow([stamp, repr(float(series.values[k]))])
+        handle.write("timestamp,value\r\n")
+        for start in range(0, series.n_samples, _CHUNK_ROWS):
+            k = np.arange(start, min(start + _CHUNK_ROWS, series.n_samples))
+            stamps = t0 + _timedelta_us(k * series.dt).astype("timedelta64[us]")
+            whole = stamps.astype(np.int64) % 1_000_000 == 0
+            text = np.datetime_as_string(stamps, unit="s" if whole.all() else "us")
+            if whole.any() and not whole.all():
+                text[whole] = np.datetime_as_string(stamps[whole], unit="s")
+            values = [repr(v) for v in series.values[k].tolist()]
+            for i in np.flatnonzero(series.missing[k]):
+                values[i] = ""
+            handle.write("".join(f"{stamp}Z,{value}\r\n"
+                                 for stamp, value in zip(text.tolist(), values)))
 
 
 def parse_station_meta(path: str | Path) -> list[StationMeta]:

@@ -10,10 +10,13 @@ isolation: a cell that cannot produce its products records a status
 instead of aborting the run.
 
 Cells are independent, so a batch distributes them over a bounded
-worker pool.  Each cell's surrogate seed is derived from the master
-seed and the cell identity alone, and results are assembled in sorted
-cell order, so outputs are byte-identical across reruns regardless of
-worker count or scheduling.
+worker pool, and each cell writes its own products (``stats.json``,
+``af.csv``, ``band.csv``, ``pm.csv``) in the process that evaluates it;
+the parent writes only a station's event lists, while the cells run,
+and its ``summary.json``.  Each cell's surrogate seed is derived from
+the master seed and the cell identity alone, every file has one writer,
+and results are assembled in sorted cell order, so outputs are
+byte-identical across reruns regardless of worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -199,6 +202,15 @@ def _scalar_band_payload(band) -> dict:
 
 
 def _evaluate_cell(task: dict) -> dict:
+    """Evaluate one cell and write its products to ``task["cell_dir"]``,
+    in whichever process runs it; returns the cell's payload."""
+    payload = _cell_payload(task)
+    payload["height_m"] = task["height_m"]
+    _write_cell_outputs(task["cell_dir"], payload)
+    return payload
+
+
+def _cell_payload(task: dict) -> dict:
     pp: MarkedPointProcess = task["pp"]
     out = {
         "station_id": task["station_id"],
@@ -346,12 +358,16 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     with ``af.csv``, ``band.csv``, ``pm.csv`` and ``stats.json``, and a
     ``summary.json`` enumerating every attempted cell with its status.
     Cells run on ``executor`` when one is given, else on a pool of
-    ``config.workers``.
+    ``config.workers``, and each writes its own directory where it runs;
+    this process writes the event lists while the cells run, then the
+    summary.
 
     Returns the station result: the summary dict plus the in-memory
     pieces a batch needs for cross-station products.
     """
     taus = config.tau_grid.resolve(series.dt, series.n_samples * series.dt)
+    height = meta.height if meta is not None else None
+    station_dir = Path(config.output_dir) / series.station_id
     thresholds: dict[float, float] = {}
     processes: dict[float, MarkedPointProcess] = {}
     densities: dict[float, RunLengthDensity] = {}
@@ -378,31 +394,27 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
                 "dp_cutoff": config.dp_cutoff,
                 "min_events": config.min_events,
                 "fit": config.fit,
+                "height_m": height,
+                "cell_dir": (station_dir / percentile_label(pct)
+                             / run_length_label(lm)),
             })
-    with (_cell_pool(config) if executor is None else nullcontext(executor)) as pool:
-        payloads = (list(pool.map(_evaluate_cell, tasks)) if pool is not None
-                    else [_evaluate_cell(task) for task in tasks])
-
-    height = meta.height if meta is not None else None
-    station_dir = Path(config.output_dir) / series.station_id
     station_dir.mkdir(parents=True, exist_ok=True)
+    with (_cell_pool(config) if executor is None else nullcontext(executor)) as pool:
+        # Pooled cells are all submitted here and run while the events
+        # are written; serial ones run when the payloads are collected.
+        results = (map if pool is None else pool.map)(_evaluate_cell, tasks)
+        for pct, pp in processes.items():
+            write_events(pp, station_dir / f"events_{percentile_label(pct)}.csv")
+        payloads = list(results)
 
-    for pct, pp in processes.items():
-        write_events(pp, station_dir / f"events_{percentile_label(pct)}.csv")
-
-    cells_index = []
-    for payload in payloads:
-        payload["height_m"] = height
-        label = (percentile_label(payload["percentile"]),
-                 run_length_label(payload["min_run_length"]))
-        _write_cell_outputs(station_dir / label[0] / label[1], payload)
-        cells_index.append({
-            "percentile": payload["percentile"],
-            "min_run_length": payload["min_run_length"],
-            "status": payload["status"],
-            "n_events": payload["n_events"],
-            "path": f"{label[0]}/{label[1]}",
-        })
+    cells_index = [{
+        "percentile": payload["percentile"],
+        "min_run_length": payload["min_run_length"],
+        "status": payload["status"],
+        "n_events": payload["n_events"],
+        "path": f"{percentile_label(payload['percentile'])}/"
+                f"{run_length_label(payload['min_run_length'])}",
+    } for payload in payloads]
 
     summary = {
         "station_id": series.station_id,

@@ -1,11 +1,18 @@
 """Tests for series and metadata parsing."""
 
-from datetime import datetime, timezone
+import csv
+import math
+import tracemalloc
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from runclust import ParseError, SampledSeries, StationMeta, parse_series, \
+from runclust import ParseError, SampledSeries, StationMeta, ingest, parse_series, \
     parse_station_meta, write_series
 
 
@@ -202,3 +209,284 @@ def test_sampled_series_validation():
     with pytest.raises(ValueError, match="UTC"):
         SampledSeries("S1", datetime(2010, 1, 1), 600.0, np.ones(3),
                       np.zeros(3, dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# The row-by-row parser and writer that the block versions replaced, kept as
+# references: the block versions must give the same series, the same error
+# (message and line) and the same bytes.
+
+
+def _reference_parse(path, station_id, dt=600.0):
+    path = Path(path)
+    slots, row_values, row_missing = [], [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["timestamp", "value"]:
+            raise ParseError("expected header 'timestamp,value'", path, 1)
+        t0 = None
+        t0_epoch = 0.0
+        prev_slot = -1
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", path, line)
+            stamp = ingest._parse_timestamp(row[0], path, line)
+            if t0 is None:
+                t0 = stamp
+                t0_epoch = stamp.timestamp()
+            offset = stamp.timestamp() - t0_epoch
+            slot = round(offset / dt)
+            if slot < 0:
+                raise ParseError("timestamp precedes the first row", path, line)
+            if abs(offset - slot * dt) > dt / 2:
+                raise ParseError(
+                    "timestamp off the sampling grid by more than dt/2", path, line)
+            if slot == prev_slot:
+                raise ParseError("duplicate timestamp", path, line)
+            if slot < prev_slot:
+                raise ParseError("timestamps not sorted", path, line)
+            prev_slot = slot
+
+            field = row[1].strip()
+            try:
+                value = float(field) if field else math.nan
+            except ValueError:
+                raise ParseError(f"malformed value {row[1]!r}", path, line) from None
+            if value < 0:
+                raise ParseError(f"negative value {value!r}", path, line)
+            if math.isinf(value):
+                raise ParseError(f"infinite value {row[1]!r}", path, line)
+            slots.append(slot)
+            row_values.append(value)
+            row_missing.append(math.isnan(value))
+    if t0 is None:
+        raise ParseError("no data rows", path)
+    values = np.full(prev_slot + 1, np.nan)
+    missing = np.ones(prev_slot + 1, dtype=bool)
+    values[slots] = row_values
+    missing[slots] = row_missing
+    return SampledSeries(station_id=station_id, t0=t0, dt=float(dt),
+                         values=values, missing=missing)
+
+
+def _reference_write(series, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["timestamp", "value"])
+        for k in range(series.n_samples):
+            stamp = (series.t0 + timedelta(seconds=k * series.dt)).isoformat()
+            stamp = stamp.replace("+00:00", "Z")
+            if series.missing[k]:
+                writer.writerow([stamp, ""])
+            else:
+                writer.writerow([stamp, repr(float(series.values[k]))])
+
+
+def _outcome(parse, path, dt):
+    try:
+        series = parse(path, "S1", dt=dt)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("series", series.t0, series.n_samples, series.values.tobytes(),
+            series.missing.tobytes())
+
+
+def _assert_same_outcome(path, dt):
+    expected = _outcome(_reference_parse, path, dt)
+    # Tiny blocks put block edges between every few rows, and inside CRLFs.
+    for chars, rows in ((ingest._CHUNK_CHARS, ingest._CHUNK_ROWS), (7, 2), (64, 3)):
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chars), \
+                mock.patch.object(ingest, "_CHUNK_ROWS", rows):
+            assert _outcome(parse_series, path, dt) == expected
+    return expected
+
+
+_T0 = datetime(2010, 1, 1, tzinfo=timezone.utc)
+_VALUES = st.one_of(
+    st.floats(0.0, 60.0).map(repr),
+    st.sampled_from(["", "nan", "NaN", " 4.5 ", "\t2", "1e2", "1_0.5", "  ",
+                     "0", "-0.0", "7."]))
+_FAULTS = ["fields", "stamp", "date", "not_utc", "precedes", "duplicate",
+           "unsorted", "value", "negative", "infinite"]
+
+
+def _stamp(instant, form):
+    text = instant.replace(tzinfo=None).isoformat()
+    return {"Z": text + "Z", "offset": text + "+00:00", "naive": text}[form]
+
+
+@st.composite
+def _series_csv(draw, faults=0):
+    """A series CSV in the forms station files take, and its ``dt``;
+    with ``faults``, that many rows (first, middle or last) are corrupted."""
+    dt = draw(st.sampled_from([600.0, 60.0, 1.0]))
+    start = _T0 + timedelta(seconds=draw(st.integers(0, 10 ** 8)))
+    n = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=n, max_size=n))
+    rows, slot = [], 0
+    for k in range(n):
+        slot += steps[k] if k else 0
+        instant = start + timedelta(seconds=slot * dt)
+        if draw(st.integers(0, 4)) == 0:      # fractional seconds, within dt/5
+            instant += timedelta(microseconds=draw(
+                st.integers(-int(dt * 2e5), int(dt * 2e5))))
+        stamp = _stamp(instant, draw(st.sampled_from(["Z", "Z", "offset", "naive"])))
+        rows.append([stamp, draw(_VALUES), instant])
+    positions = draw(st.lists(st.sampled_from([0, n // 2, n - 1]),
+                              min_size=faults, max_size=faults))
+    kinds = draw(st.lists(st.sampled_from(_FAULTS), min_size=faults,
+                          max_size=faults, unique=True))
+    for pos, kind in zip(positions, kinds):
+        row = rows[pos]
+        previous = rows[pos - 1][2] if pos else row[2]
+        if kind == "fields":
+            row[1] += ",extra"
+        elif kind == "stamp":
+            row[0] = "not-a-time"
+        elif kind == "date":
+            row[0] = "2011-02-29T00:00:00Z"
+        elif kind == "not_utc":
+            row[0] = row[2].replace(tzinfo=None).isoformat() + "+01:00"
+        elif kind == "precedes":
+            row[0] = _stamp(start - timedelta(seconds=dt), "Z")
+        elif kind == "duplicate":
+            row[0] = _stamp(previous, "Z")
+        elif kind == "unsorted":
+            row[0] = _stamp(previous - timedelta(seconds=dt), "Z")
+        elif kind == "value":
+            row[1] = "abc"
+        elif kind == "negative":
+            row[1] = "-1.5"
+        else:
+            row[1] = draw(st.sampled_from(["inf", " -inf", "Infinity"]))
+
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = ["timestamp,value"]
+    for stamp, value, _ in rows:
+        if draw(st.integers(0, 5)) == 0:
+            value = f'"{value}"'
+        if draw(st.integers(0, 9)) == 0:
+            stamp = f'"{stamp}"'
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 0, 1, 2]))
+        lines.append(f"{stamp},{value}")
+    lines += [""] * draw(st.integers(0, 2))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, dt
+
+
+_ORACLE = settings(max_examples=150, deadline=None, derandomize=True,
+                   database=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_ORACLE
+@given(_series_csv())
+def test_parse_series_matches_row_loop(tmp_path, case):
+    text, dt = case
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    _assert_same_outcome(path, dt)
+
+
+@_ORACLE
+@given(st.one_of(_series_csv(faults=1), _series_csv(faults=2)))
+def test_parse_series_faults_match_row_loop(tmp_path, case):
+    text, dt = case
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    _assert_same_outcome(path, dt)
+
+
+def test_parse_series_fault_order_within_a_row(tmp_path):
+    # Every fault of a row but the first in check order is masked.
+    rows = [
+        ("a,b,c", "expected 2 fields, got 3"),
+        ("not-a-time,-1", "malformed timestamp"),
+        ("2010-01-01T00:00:00+01:00,abc", "not UTC"),
+        ("2009-12-31T23:50:00Z,-1", "precedes the first row"),
+        ("2010-01-01T00:10:00Z,-1", "duplicate timestamp"),
+        ("2010-01-01T00:00:00Z,inf", "timestamps not sorted"),
+        ("2010-01-01T00:20:00Z,-inf", "negative value -inf"),
+    ]
+    for row, message in rows:
+        path = _write(tmp_path / "s.csv",
+                      "timestamp,value\n2010-01-01T00:00:00Z,1\n"
+                      "2010-01-01T00:10:00Z,2\n" + row + "\n")
+        with pytest.raises(ParseError, match=message) as info:
+            parse_series(path, "S1", dt=600.0)
+        assert info.value.line == 4
+        assert _assert_same_outcome(path, 600.0)[1] == str(info.value)
+
+
+def test_parse_series_canonical_stamps_decoded_exactly(tmp_path):
+    # Leap days, month ends, century rules and the edges of each field.
+    stamps = ["0001-01-01T00:00:00Z", "1600-02-29T23:59:59Z",
+              "1900-02-28T12:00:00Z", "1969-12-31T23:59:59Z",
+              "1970-01-01T00:00:00Z", "2000-02-29T00:00:01Z",
+              "2024-12-31T23:59:59Z", "9999-12-31T23:59:59Z"]
+    for stamp in stamps:
+        path = _write(tmp_path / "s.csv", f"timestamp,value\n{stamp},1\n")
+        series = parse_series(path, "S1", dt=1.0)
+        assert series.t0 == datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+    days = "\n".join(f"{d.date().isoformat()}T00:00:00Z,1" for d in
+                     (datetime(1899, 12, 30) + timedelta(days=k) for k in range(800)))
+    path = _write(tmp_path / "s.csv", "timestamp,value\n" + days + "\n")
+    assert parse_series(path, "S1", dt=86400.0).n_missing == 0
+    for bad in ["1900-02-29T00:00:00Z", "2010-04-31T00:00:00Z",
+                "0000-01-01T00:00:00Z", "2010-13-01T00:00:00Z",
+                "2010-01-01T24:00:00Z", "2010-01-01T00:60:00Z",
+                "2010-01-01T00:00:60Z", "2010-01-01T00:00:00z",
+                "2010-01-01T00:00:0aZ", "2010-01-01T00:00:00ZZ"]:
+        # After a first row, which the grid's t0 is read from once more.
+        path = _write(tmp_path / "s.csv",
+                      f"timestamp,value\n1899-01-01T00:00:00Z,1\n{bad},1\n")
+        with pytest.raises(ParseError, match="malformed timestamp") as info:
+            parse_series(path, "S1", dt=1.0)
+        assert info.value.line == 3
+
+
+def test_parse_series_memory_bounded(tmp_path):
+    n = 52_560
+    rng = np.random.default_rng(3)
+    values = rng.random(n) * 20.0
+    missing = rng.random(n) < 0.01
+    values[missing] = np.nan
+    path = tmp_path / "s.csv"
+    write_series(SampledSeries("S1", _T0, 600.0, values, missing), path)
+    tracemalloc.start()
+    try:
+        series = parse_series(path, "S1", dt=600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.n_samples == n
+    assert peak <= 3 * path.stat().st_size
+
+
+@pytest.mark.parametrize("dt", [600.0, 1.0, 0.1, 1.0 / 3.0])
+def test_write_series_matches_row_loop(tmp_path, dt):
+    n = 5_000                                  # more than one block of rows
+    rng = np.random.default_rng(int(dt * 1000))
+    values = rng.random(n) * 30.0
+    missing = rng.random(n) < 0.1
+    missing[100:400] = True
+    values[missing] = np.nan
+    t0 = datetime(2010, 3, 4, 5, 6, 7, 890_123, tzinfo=timezone.utc)
+    for start in (t0, t0.replace(microsecond=0)):
+        series = SampledSeries("S1", start, dt, values, missing)
+        write_series(series, tmp_path / "new.csv")
+        _reference_write(series, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_timedelta_microseconds_round_as_timedelta():
+    # Multiples of 2**-21 s give exact half-microsecond leftovers, which
+    # timedelta rounds to the even total.
+    seconds = np.concatenate([np.arange(70_000) * 2.0 ** -21,
+                              np.random.default_rng(5).random(5_000) * 1e5])
+    expected = [timedelta(seconds=s) // timedelta(microseconds=1)
+                for s in seconds.tolist()]
+    assert ingest._timedelta_us(seconds).tolist() == expected

@@ -10,6 +10,7 @@ import pytest
 from runclust import AnalysisConfig, RunLengthDensity, SynthSpec, TauGridSpec, \
     average_density, derive_cell_seed, generate_series, run_batch, run_station, \
     write_series
+from runclust import pipeline
 from runclust.pipeline import percentile_label, run_length_label
 
 
@@ -164,6 +165,57 @@ def test_run_station_worker_count_does_not_change_output(tmp_path):
     run_station(series, None, small_config(pooled, min_run_lengths=(1, 2),
                                            workers=2))
     assert tree_hashes(serial) == tree_hashes(pooled)
+
+
+def _station_tasks(monkeypatch, series, config):
+    """Run the station serially, capturing each cell's task on its way
+    into ``_evaluate_cell``."""
+    tasks = []
+    evaluate = pipeline._evaluate_cell
+
+    def capture(task):
+        tasks.append(task)
+        return evaluate(task)
+
+    monkeypatch.setattr(pipeline, "_evaluate_cell", capture)
+    run_station(series, None, config)
+    monkeypatch.setattr(pipeline, "_evaluate_cell", evaluate)
+    return tasks
+
+
+def _cell_files(cell_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(cell_dir).iterdir())}
+
+
+def test_evaluate_cell_writes_its_own_products(tmp_path, monkeypatch):
+    series = synth_station(0, "alpha")
+    tree = tmp_path / "tree"
+    tasks = _station_tasks(monkeypatch, series, small_config(tree))
+    statuses = set()
+    for task in tasks:
+        cell_dir = tmp_path / "direct" / task["cell_dir"].relative_to(tree)
+        payload = pipeline._evaluate_cell({**task, "cell_dir": cell_dir})
+        statuses.add(payload["status"])
+        files = _cell_files(cell_dir)
+        assert sorted(files) == (["af.csv", "band.csv", "pm.csv", "stats.json"]
+                                 if payload["status"] == "ok" else ["stats.json"])
+        assert files == _cell_files(task["cell_dir"])
+    assert statuses == {"ok", "insufficient_events"}
+
+    # A cell whose statistics raise is written as an error, stats only.
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken sweep")
+
+    monkeypatch.setattr(pipeline, "cell_bands", broken)
+    broken_tree = tmp_path / "broken"
+    tasks = _station_tasks(monkeypatch, series,
+                           small_config(broken_tree, min_run_lengths=(1,)))
+    cell_dir = tmp_path / "direct_error"
+    payload = pipeline._evaluate_cell({**tasks[0], "cell_dir": cell_dir})
+    assert payload["status"] == "error"
+    assert payload["message"] == "RuntimeError: broken sweep"
+    assert list(_cell_files(cell_dir)) == ["stats.json"]
+    assert _cell_files(cell_dir) == _cell_files(tasks[0]["cell_dir"])
 
 
 def _write_batch_inputs(root, bad_station=False):
