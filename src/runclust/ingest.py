@@ -18,11 +18,10 @@ over the rows; other forms take ``datetime.fromisoformat`` row by row.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +156,8 @@ def _parse_timestamp(text: str, path, line: int) -> datetime:
 (_FIELDS, _STAMP, _PRECEDES, _OFF_GRID, _DUPLICATE, _UNSORTED, _BAD_VALUE,
  _NEGATIVE, _INFINITE) = range(1, 10)
 
-# Block sizes of the parse, in characters where rows are split with
-# ``str.split`` and in rows where ``csv.reader`` splits them: they bound
-# the parse's temporaries to a few hundred kilobytes, whatever the file's
-# length.
-_CHUNK_CHARS = 1 << 17
+# Rows per block of the parse and of write_series: it bounds their
+# temporaries to a few hundred kilobytes, whatever the file's length.
 _CHUNK_ROWS = 4096
 
 _DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -200,14 +196,10 @@ def _canonical_epoch(stamps) -> tuple[np.ndarray, np.ndarray]:
     return ok, days * 86400 + hour * 3600 + minute * 60 + second
 
 
-def _parse_values(fields) -> tuple[np.ndarray, np.ndarray | None]:
+def _parse_values(fields) -> tuple[np.ndarray, np.ndarray]:
     """Value fields as floats, NaN where empty, and the mask of malformed
-    fields (``None`` when there is none).  ``float`` decides what parses,
-    so whitespace, ``nan``, exponents and underscores are accepted."""
-    try:
-        return np.array([float(text or "nan") for text in fields]), None
-    except ValueError:
-        pass
+    fields.  ``float`` decides what parses, so whitespace, ``nan``,
+    exponents and underscores are accepted."""
     values = np.empty(len(fields))
     malformed = np.zeros(len(fields), dtype=bool)
     for i, text in enumerate(fields):
@@ -251,8 +243,9 @@ def _read_rows(records) -> tuple[list, Exception | None]:
 
 
 def _row_block(rows: list) -> tuple:
-    """``csv.reader`` rows as ``_row_blocks`` yields them: the positions of
-    the non-blank rows, their field counts, stamps and value fields."""
+    """A block of ``csv.reader`` rows: the positions of the non-blank
+    rows, their field counts, stamps and value fields (both empty where
+    a row has not two fields)."""
     n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
     index = np.flatnonzero(n_fields)
     if index.size < len(rows):
@@ -264,52 +257,19 @@ def _row_block(rows: list) -> tuple:
     return index, n_fields, stamps, fields
 
 
-def _row_blocks(handle):
-    """The data records of an open series CSV, split into fields exactly
-    as ``csv.reader`` splits them, in blocks of whole lines.
+def _row_blocks(reader):
+    """The data records of a series CSV's ``csv.reader`` in blocks of
+    ``_CHUNK_ROWS``.
 
     Yields ``(n_records, index, n_fields, stamps, fields, error)``: the
-    records the block consumed, the positions among them of the non-blank
-    ones, and for those their field counts, first and second fields
-    (empty where a record has not two fields), and the ``csv.Error`` that
-    ended the file early, if any.  A block of two-field records without
-    quotes is split with ``str.split``; any other block goes through
-    ``csv.reader``, and from the first quote on so does the rest of the
-    file, because a quoted field may hold a line break.
+    records the block consumed, then :func:`_row_block` of them, then
+    the ``csv.Error`` that ended the file early, if any.
     """
-    limit = csv.field_size_limit()
     while True:
-        text = handle.read(_CHUNK_CHARS)
-        if not text:
+        rows, error = _read_rows(islice(reader, _CHUNK_ROWS))
+        yield (len(rows), *_row_block(rows), error)
+        if error is not None or len(rows) < _CHUNK_ROWS:
             return
-        if not text.endswith("\n"):
-            text += handle.readline()
-        if '"' in text:
-            reader = csv.reader(chain(io.StringIO(text, newline=""), handle))
-            while True:
-                rows, error = _read_rows(islice(reader, _CHUNK_ROWS))
-                yield (len(rows), *_row_block(rows), error)
-                if error is not None or len(rows) < _CHUNK_ROWS:
-                    return
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if text.endswith("\n"):
-            text = text[:-1]
-        n_records = text.count("\n") + 1
-        chars = np.frombuffer(text.encode(), np.uint8)
-        breaks = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
-        seps = chars[breaks]
-        if (seps.size == 2 * n_records - 1 and (seps[0::2] == ord(",")).all()
-                and (seps[1::2] == ord("\n")).all()
-                and np.diff(breaks, prepend=-1, append=chars.size).max() <= limit + 1):
-            flat = text.replace("\n", ",").split(",")
-            yield (n_records, np.arange(n_records), np.full(n_records, 2),
-                   flat[0::2], flat[1::2], None)
-        else:
-            rows, error = _read_rows(csv.reader(text.split("\n")))
-            yield (n_records, *_row_block(rows), error)
-            if error is not None:
-                return
 
 
 def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> SampledSeries:
@@ -364,11 +324,12 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     t0_epoch = 0.0
     prev_slot = -1.0
     with handle:
-        header = next(csv.reader(handle), None)
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["timestamp", "value"]:
             raise ParseError("expected header 'timestamp,value'", path, 1)
         next_line = 2
-        for n_records, index, n_fields, stamps, fields, read_error in _row_blocks(handle):
+        for n_records, index, n_fields, stamps, fields, read_error in _row_blocks(reader):
             lines = next_line + index
             next_line += n_records
             if index.size:
@@ -402,8 +363,7 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
                     (_INFINITE, np.isinf(values)),
                 ]
                 for code, failed in checks:
-                    if failed is not None:
-                        fault[(fault == 0) & failed] = code
+                    fault[(fault == 0) & failed] = code
                 bad = np.flatnonzero(fault)
                 if bad.size:
                     i = bad[0]
