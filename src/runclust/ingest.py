@@ -18,10 +18,11 @@ over the rows; other forms take ``datetime.fromisoformat`` row by row.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +157,11 @@ def _parse_timestamp(text: str, path, line: int) -> datetime:
 (_FIELDS, _STAMP, _PRECEDES, _OFF_GRID, _DUPLICATE, _UNSORTED, _BAD_VALUE,
  _NEGATIVE, _INFINITE) = range(1, 10)
 
-# Rows per block of the parse and of write_series: it bounds their
-# temporaries to a few hundred kilobytes, whatever the file's length.
+# Block sizes of the parse, in characters where rows are split with
+# ``str.split`` and in rows where ``csv.reader`` splits them, and of
+# write_series: they bound the temporaries to a few hundred kilobytes,
+# whatever the file's length.
+_CHUNK_CHARS = 1 << 17
 _CHUNK_ROWS = 4096
 
 _DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -257,14 +261,50 @@ def _row_block(rows: list) -> tuple:
     return index, n_fields, stamps, fields
 
 
-def _row_blocks(reader):
-    """The data records of a series CSV's ``csv.reader`` in blocks of
-    ``_CHUNK_ROWS``.
+def _split_block(text: str) -> tuple[list, list] | None:
+    """The stamps and value fields of a block of whole lines, split with
+    ``str.split``, or ``None`` unless that split is the one ``csv.reader``
+    makes: every line holds one comma, no quote and no field longer than
+    ``csv.field_size_limit()``."""
+    if '"' in text:
+        return None
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
+    chars = np.frombuffer(text.encode(), np.uint8)
+    breaks = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    seps = chars[breaks]
+    if (seps.size % 2 == 0 or (seps[0::2] != ord(",")).any()
+            or (seps[1::2] != ord("\n")).any()
+            or np.diff(breaks, prepend=-1, append=chars.size).max()
+            > csv.field_size_limit() + 1):
+        return None
+    flat = text.replace("\n", ",").split(",")
+    return flat[0::2], flat[1::2]
+
+
+def _row_blocks(handle):
+    """The data records of an open series CSV, split into fields exactly
+    as ``csv.reader`` splits them, in blocks.
 
     Yields ``(n_records, index, n_fields, stamps, fields, error)``: the
     records the block consumed, then :func:`_row_block` of them, then
-    the ``csv.Error`` that ended the file early, if any.
+    the ``csv.Error`` that ended the file early, if any.  Blocks of
+    whole lines are split with :func:`_split_block` for as long as it
+    can; from the first block it cannot split, which is where a quote, a
+    blank line or a row without two fields turns up, the rest of the
+    file goes through ``csv.reader``, ``_CHUNK_ROWS`` records at a time.
     """
+    while True:
+        text = handle.read(_CHUNK_CHARS)
+        if not text:
+            return
+        if not text.endswith("\n"):
+            text += handle.readline()
+        split = _split_block(text)
+        if split is None:
+            break
+        n_records = len(split[0])
+        yield (n_records, np.arange(n_records), np.full(n_records, 2), *split, None)
+    reader = csv.reader(chain(io.StringIO(text, newline=""), handle))
     while True:
         rows, error = _read_rows(islice(reader, _CHUNK_ROWS))
         yield (len(rows), *_row_block(rows), error)
@@ -324,12 +364,11 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     t0_epoch = 0.0
     prev_slot = -1.0
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None or [h.strip() for h in header] != ["timestamp", "value"]:
             raise ParseError("expected header 'timestamp,value'", path, 1)
         next_line = 2
-        for n_records, index, n_fields, stamps, fields, read_error in _row_blocks(reader):
+        for n_records, index, n_fields, stamps, fields, read_error in _row_blocks(handle):
             lines = next_line + index
             next_line += n_records
             if index.size:

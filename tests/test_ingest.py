@@ -296,9 +296,10 @@ def _outcome(parse, path, dt):
 
 def _assert_same_outcome(path, dt):
     expected = _outcome(_reference_parse, path, dt)
-    # Tiny blocks put block edges between every few rows.
-    for rows in (ingest._CHUNK_ROWS, 2, 3):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", rows):
+    # Tiny blocks put block edges between every few rows, and inside CRLFs.
+    for chars, rows in ((ingest._CHUNK_CHARS, ingest._CHUNK_ROWS), (7, 2), (64, 3)):
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chars), \
+                mock.patch.object(ingest, "_CHUNK_ROWS", rows):
             assert _outcome(parse_series, path, dt) == expected
     return expected
 
