@@ -421,6 +421,28 @@ def test_parse_series_fault_order_within_a_row(tmp_path):
         assert _assert_same_outcome(path, 600.0)[1] == str(info.value)
 
 
+def test_parse_series_half_slot_ties_round_to_even(tmp_path):
+    # 0.5 slots rounds to slot 0, a duplicate of the first row; 1.5 to 2.
+    path = _write(tmp_path / "s.csv", "timestamp,value\n2010-01-01T00:00:00Z,1\n"
+                                      "2010-01-01T00:05:00Z,2\n")
+    assert _assert_same_outcome(path, 600.0)[1:] == (
+        f"{path}, line 3: duplicate timestamp", 3)
+    path = _write(tmp_path / "s.csv", "timestamp,value\n2010-01-01T00:00:00Z,1\n"
+                                      "2010-01-01T00:15:00Z,2\n")
+    assert _assert_same_outcome(path, 600.0)[2] == 3
+
+
+def test_parse_series_field_size_limit_as_csv_reader(tmp_path):
+    # A field past csv.field_size_limit() is csv.reader's error, which the
+    # str.split path must not hide, also in a line longer than a block.
+    long_value = "1" * (csv.field_size_limit() + 1)
+    path = _write(tmp_path / "s.csv", "timestamp,value\n2010-01-01T00:00:00Z,1\n"
+                                      f"2010-01-01T00:10:00Z,{long_value}\n")
+    for parse in (_reference_parse, parse_series):
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse(path, "S1", dt=600.0)
+
+
 def test_parse_series_canonical_stamps_decoded_exactly(tmp_path):
     # Leap days, month ends, century rules and the edges of each field.
     stamps = ["0001-01-01T00:00:00Z", "1600-02-29T23:59:59Z",
