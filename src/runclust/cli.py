@@ -18,12 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .allan import DP_CUTOFF, af_curve, departure, fit_power_law
 from .ingest import parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
-    _write_json
+    _csv_text, _write_json
 from .runs import _atomic_write_text, read_events, write_events
 from .stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
@@ -213,15 +211,7 @@ def _cmd_af(parser: _Parser, args) -> int:
         except ValueError as exc:
             print(f"fit: {exc}")
 
-    def fmt(value):
-        if value is None or (isinstance(value, float) and not np.isfinite(value)):
-            return ""
-        return repr(value)
-
-    lines = [",".join(header)]
-    lines += [",".join(fmt(col[i]) for col in columns)
-              for i in range(len(taus))]
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(header, zip(*columns))
     if args.out:
         _atomic_write_text(Path(args.out), text)
         print(f"wrote {args.out}")

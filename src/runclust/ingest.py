@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, islice
@@ -51,6 +52,24 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
         self.path = None if path is None else str(path)
         self.line = line
+
+
+@contextmanager
+def _open_csv(path: Path):
+    """The open text of a CSV file.  A file that cannot be opened or
+    decoded raises :class:`ParseError` naming it; the decoder's byte
+    offset counts from the chunk it was decoding, not from the start of
+    the file, so it is left out."""
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc.strerror}", path) from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot decode text as {exc.encoding}: "
+                             f"{exc.reason}", path) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,17 +372,12 @@ def parse_series(path: str | Path, station_id: str, dt: float = 600.0) -> Sample
     if not dt > 0:
         raise ValueError("dt must be positive")
     path = Path(path)
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc.strerror}", path) from exc
-
     slot_blocks: list[np.ndarray] = []
     value_blocks: list[np.ndarray] = []
     t0 = None
     t0_epoch = 0.0
     prev_slot = -1.0
-    with handle:
+    with _open_csv(path) as handle:
         header = next(csv.reader(handle), None)
         if header is None or [h.strip() for h in header] != ["timestamp", "value"]:
             raise ParseError("expected header 'timestamp,value'", path, 1)
@@ -477,14 +491,9 @@ def parse_station_meta(path: str | Path) -> list[StationMeta]:
     non-numeric heights are errors.
     """
     path = Path(path)
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc.strerror}", path) from exc
-
     out: list[StationMeta] = []
     seen: set[str] = set()
-    with handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -212,6 +212,7 @@ def _evaluate_cell(task: dict) -> dict:
 
 def _cell_payload(task: dict) -> dict:
     pp: MarkedPointProcess = task["pp"]
+    config: AnalysisConfig = task["config"]
     out = {
         "station_id": task["station_id"],
         "percentile": task["percentile"],
@@ -219,28 +220,28 @@ def _cell_payload(task: dict) -> dict:
         "threshold_value": pp.threshold.value if pp.threshold else None,
         "gap_fraction": pp.gap_fraction,
         "n_events": pp.n_events,
-        "seed_master": task["seed_master"],
+        "seed_master": config.seed,
         "seed_cell": task["seed_cell"],
-        "n_surrogates": task["n_surrogates"],
-        "band": list(task["band"]),
+        "n_surrogates": config.n_surrogates,
+        "band": list(config.band),
     }
-    if pp.n_events < task["min_events"]:
+    if pp.n_events < config.min_events:
         out["status"] = "insufficient_events"
         return out
     try:
         taus = task["taus"]
         density = run_length_density(pp)
         intervals = interevent_times(pp)
-        config = SurrogateConfig(seed=task["seed_cell"],
-                                 n_surrogates=task["n_surrogates"],
-                                 band=tuple(task["band"]))
-        cv_band, lv_band, band = cell_bands(pp, taus, config)
+        cv_band, lv_band, band = cell_bands(
+            pp, taus, SurrogateConfig(seed=task["seed_cell"],
+                                      n_surrogates=config.n_surrogates,
+                                      band=config.band))
         curve = af_curve(pp, taus)
-        dp = departure(curve, band, task["dp_cutoff"])
+        dp = departure(curve, band, config.dp_cutoff)
 
         fit_payload = None
         fit_message = None
-        if task["fit"]:
+        if config.fit:
             try:
                 fit = fit_power_law(curve)
                 fit_payload = {
@@ -306,10 +307,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _atomic_write_text(path, _csv_text(header, rows))
 
 
 def _write_cell_outputs(cell_dir: Path, payload: dict) -> None:
@@ -386,14 +391,9 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
                 "min_run_length": lm,
                 "pp": filter_by_min_length(pp, lm),
                 "taus": taus,
-                "seed_master": config.seed,
+                "config": config,
                 "seed_cell": derive_cell_seed(config.seed, series.station_id,
                                               pct, lm),
-                "n_surrogates": config.n_surrogates,
-                "band": config.band,
-                "dp_cutoff": config.dp_cutoff,
-                "min_events": config.min_events,
-                "fit": config.fit,
                 "height_m": height,
                 "cell_dir": (station_dir / percentile_label(pct)
                              / run_length_label(lm)),

@@ -41,12 +41,11 @@ def interevent_times(pp: MarkedPointProcess) -> np.ndarray:
 
 
 def _validated_intervals(intervals) -> np.ndarray:
+    # One row of at least 2 interevent times, for _dispersion_rows.
     intervals = np.asarray(intervals, dtype=float)
     if intervals.ndim != 1 or intervals.size < 2:
         raise ValueError("need at least 2 interevent times")
-    if np.any(intervals <= 0):
-        raise ValueError("interevent times must be positive")
-    return intervals
+    return intervals[np.newaxis]
 
 
 def coefficient_of_variation(intervals) -> float:
@@ -55,8 +54,7 @@ def coefficient_of_variation(intervals) -> float:
     Ratio of the population standard deviation (divide by n, not n-1)
     to the mean.
     """
-    intervals = _validated_intervals(intervals)
-    return float(np.std(intervals) / np.mean(intervals))
+    return float(_dispersion_rows(_validated_intervals(intervals))[0][0])
 
 
 def local_coefficient_of_variation(intervals) -> float:
@@ -65,17 +63,13 @@ def local_coefficient_of_variation(intervals) -> float:
     Averages ``3*(T_i - T_{i+1})**2 / (T_i + T_{i+1})**2`` over the
     n-1 adjacent pairs of the n interevent times.
     """
-    intervals = _validated_intervals(intervals)
-    a = intervals[:-1]
-    b = intervals[1:]
-    return float(np.mean(3.0 * (a - b) ** 2 / (a + b) ** 2))
+    return float(_dispersion_rows(_validated_intervals(intervals))[1][0])
 
 
 def _dispersion_rows(intervals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Cv and Lv of every row of a 2-D block of interevent times: the
-    # reductions of coefficient_of_variation and
-    # local_coefficient_of_variation taken along each row, which gives
-    # each row the same bits as the 1-D call on it.
+    # Cv and Lv of every row of a 2-D block of interevent times, the one
+    # place either formula is written: the 1-D functions above take the
+    # one-row result, and the surrogate sweep a whole block of rows.
     if np.any(intervals <= 0):
         raise ValueError("interevent times must be positive")
     a = intervals[:, :-1]

@@ -9,8 +9,11 @@ band mean clustering, values below mean quasi-periodicity.
 
 Every band comes from one sweep, :func:`cell_bands`, which evaluates
 Cv, Lv and the Allan factor on blocks of surrogates, one surrogate per
-row, so that the fixed cost of each evaluation is shared by the block;
-with an empty tau grid it returns only the Cv and Lv bands.
+row, so that the fixed cost of each evaluation is shared by the block.
+The values land in one sample matrix, a column per statistic, and one
+quantile pass over it gives every band edge of the cell: the Cv band,
+the Lv band and the Allan-factor band, always all three (the last with
+empty arrays on an empty tau grid).
 
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allan import _BLOCK_EVENTS, _af_grid, _tau_grid
-from .runs import MarkedPointProcess, linear_quantile
+from .runs import MarkedPointProcess
 from .stats import _dispersion_rows, coefficient_of_variation, \
     interevent_times, local_coefficient_of_variation
 
@@ -119,9 +122,6 @@ class ScalarBand:
     lo: float
     hi: float
     classification: str
-    n_surrogates: int
-    seed: int
-    band: tuple[float, float]
 
 
 def _classify(observed: float, lo: float, hi: float) -> str:
@@ -130,17 +130,6 @@ def _classify(observed: float, lo: float, hi: float) -> str:
     if observed < lo:
         return "quasi-periodic"
     return "poissonian"
-
-
-def _scalar_band_from_samples(statistic: str, observed: float,
-                              samples: np.ndarray,
-                              config: SurrogateConfig) -> ScalarBand:
-    lo = linear_quantile(samples, config.band[0])
-    hi = linear_quantile(samples, config.band[1])
-    return ScalarBand(statistic=statistic, observed=observed, lo=lo, hi=hi,
-                      classification=_classify(observed, lo, hi),
-                      n_surrogates=config.n_surrogates, seed=config.seed,
-                      band=config.band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +145,6 @@ class AfBand:
     lo: np.ndarray
     hi: np.ndarray
     n_samples: np.ndarray
-    n_surrogates: int
-    seed: int
-    band: tuple[float, float]
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -175,64 +161,68 @@ class AfBand:
             object.__setattr__(self, name, arr)
 
 
-def _af_band_from_values(taus: np.ndarray, values: np.ndarray,
-                         config: SurrogateConfig) -> AfBand:
-    lo = np.full(taus.size, np.nan)
-    hi = np.full(taus.size, np.nan)
-    n_samples = np.zeros(taus.size, dtype=np.int64)
-    for j in range(taus.size):
-        column = values[:, j]
-        column = column[np.isfinite(column)]
-        n_samples[j] = column.size
-        if column.size:
-            lo[j] = linear_quantile(column, config.band[0])
-            hi[j] = linear_quantile(column, config.band[1])
-    return AfBand(taus=taus, lo=lo, hi=hi, n_samples=n_samples,
-                  n_surrogates=config.n_surrogates, seed=config.seed,
-                  band=config.band)
+def _band_edges(samples: np.ndarray, band: tuple[float, float]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Lower and upper band edges and the count of defined (finite) values
+    # of every column of a (surrogates, statistics) matrix.  One quantile
+    # call serves every column; a column holding any NaN comes back NaN
+    # from it, so a column that is defined on some surrogates but not all
+    # is taken again over its defined values alone.
+    defined = np.isfinite(samples)
+    n_samples = defined.sum(axis=0)
+    lo, hi = np.quantile(samples, band, axis=0, method="linear")
+    for j in np.flatnonzero((n_samples > 0) & (n_samples < samples.shape[0])):
+        lo[j], hi[j] = np.quantile(samples[defined[:, j], j], band,
+                                   method="linear")
+    return lo, hi, n_samples
 
 
 def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
                config: SurrogateConfig
-               ) -> tuple[ScalarBand, ScalarBand] | tuple[ScalarBand, ScalarBand, AfBand]:
+               ) -> tuple[ScalarBand, ScalarBand, AfBand]:
     """Cv band, Lv band and Allan-factor band from one surrogate sweep.
 
     Surrogate i is stream i of the configured seed, with the same times
     as ``poisson_surrogate(pp, config.seed, i)``.  Surrogates are drawn
     and evaluated in blocks of about ``_BLOCK_EVENTS`` event times, so
     memory stays bounded however many surrogates are asked for; a
-    surrogate's values do not depend on the block it falls in.  Cv and
-    Lv bands take the configured quantiles of the surrogate values with
-    the same rank-interpolation estimator used for thresholds.  At each tau,
+    surrogate's values do not depend on the block it falls in.  Each
+    surrogate fills one row of a sample matrix: Cv, Lv, then the Allan
+    factor at each tau.  Every band edge is the configured quantile of
+    its column, with the same rank-interpolation estimator used for
+    thresholds, taken for all columns in one pass.  At each tau,
     surrogates whose Allan factor is undefined contribute no sample
     rather than a placeholder.  Needs at least 3 events so Cv and Lv
     are defined on every surrogate; the grid is checked as in
     :func:`~runclust.allan.af_curve` before any surrogate is drawn.
 
     Returns ``(cv_band, lv_band, af_band)``; with an empty ``taus`` the
-    Allan factor is skipped and only ``(cv_band, lv_band)`` is returned.
+    Allan-factor band holds empty arrays.
     """
     if pp.n_events < 3:
         raise ValueError("need at least 3 events for scalar bands")
     taus = _tau_grid(taus, pp.dt, allow_empty=True)
-    observed = interevent_times(pp)
-    obs_cv = coefficient_of_variation(observed)
-    obs_lv = local_coefficient_of_variation(observed)
 
     n_surrogates = config.n_surrogates
-    cv_samples = np.empty(n_surrogates)
-    lv_samples = np.empty(n_surrogates)
-    values = np.empty((n_surrogates, taus.size))
+    samples = np.empty((n_surrogates, 2 + taus.size))
     rows = max(1, _BLOCK_EVENTS // pp.n_events)
     for lo in range(0, n_surrogates, rows):
         hi = min(lo + rows, n_surrogates)
         block = np.stack([_surrogate_times(pp, config.seed, i)[1]
                           for i in range(lo, hi)])
-        cv_samples[lo:hi], lv_samples[lo:hi] = _dispersion_rows(
+        samples[lo:hi, 0], samples[lo:hi, 1] = _dispersion_rows(
             np.diff(block, axis=1))
-        values[lo:hi] = _af_grid(block, pp.window_start, pp.duration, taus)
-    bands = (_scalar_band_from_samples("cv", obs_cv, cv_samples, config),
-             _scalar_band_from_samples("lv", obs_lv, lv_samples, config))
-    if taus.size == 0:
-        return bands
-    return bands + (_af_band_from_values(taus, values, config),)
+        samples[lo:hi, 2:] = _af_grid(block, pp.window_start, pp.duration, taus)
+    lower, upper, n_samples = _band_edges(samples, config.band)
+
+    observed = interevent_times(pp)
+    cv_band, lv_band = (
+        ScalarBand(statistic=name, observed=value, lo=lo, hi=hi,
+                   classification=_classify(value, lo, hi))
+        for name, value, lo, hi in zip(
+            ("cv", "lv"),
+            (coefficient_of_variation(observed),
+             local_coefficient_of_variation(observed)),
+            lower[:2].tolist(), upper[:2].tolist()))
+    return cv_band, lv_band, AfBand(taus=taus, lo=lower[2:], hi=upper[2:],
+                                    n_samples=n_samples[2:])

@@ -101,9 +101,9 @@ def test_poisson_calibration(capsys):
         cvs.append(coefficient_of_variation(intervals))
         lvs.append(local_coefficient_of_variation(intervals))
 
-        band, _ = cell_bands(pp, np.empty(0),
-                             SurrogateConfig(seed=10_000 + i,
-                                             n_surrogates=1000))
+        band, _, _ = cell_bands(pp, np.empty(0),
+                                SurrogateConfig(seed=10_000 + i,
+                                                n_surrogates=1000))
         rejections += band.classification != "poissonian"
 
         curve = af_curve(pp, taus)
@@ -143,8 +143,8 @@ def test_structure_discrimination(capsys):
     periodic_iv = interevent_times(periodic)
     periodic_cv = coefficient_of_variation(periodic_iv)
     periodic_lv = local_coefficient_of_variation(periodic_iv)
-    band, _ = cell_bands(periodic, np.empty(0),
-                         SurrogateConfig(seed=303, n_surrogates=1000))
+    band, _, _ = cell_bands(periodic, np.empty(0),
+                            SurrogateConfig(seed=303, n_surrogates=1000))
 
     ok = (intervals.size >= 10_000 and mixed_cv > 1.5 and mixed_lv < 0.3
           and periodic_cv == 0.0 and periodic_lv == 0.0

@@ -349,8 +349,7 @@ def _band_on(taus, hi):
     taus = np.asarray(taus, dtype=float)
     hi = np.asarray(hi, dtype=float)
     return AfBand(taus=taus, lo=np.zeros(taus.size), hi=hi,
-                  n_samples=np.full(taus.size, 10), n_surrogates=10,
-                  seed=0, band=(0.025, 0.975))
+                  n_samples=np.full(taus.size, 10))
 
 
 def test_departure():

@@ -144,6 +144,18 @@ def test_analyze_data_errors_exit_2(tmp_path, capsys):
     assert "expected header 'timestamp,value'" in err
 
 
+def test_analyze_undecodable_series_exits_2(tmp_path, capsys):
+    station = tmp_path / "S1.csv"
+    render_station(station)
+    data = station.read_bytes()
+    station.write_bytes(data[:60] + b"\xff" + data[60:])
+    assert call(["analyze", str(station), "--out", str(tmp_path / "out"),
+                 "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {station}: cannot decode text" in err
+    assert "position" not in err
+
+
 def test_analyze_infinite_sample_exits_2(tmp_path, capsys):
     station = tmp_path / "S1.csv"
     render_station(station)

@@ -154,6 +154,27 @@ def test_parse_series_missing_file(tmp_path):
         parse_series(tmp_path / "nope.csv", "S1", dt=600.0)
 
 
+def test_undecodable_bytes_name_the_file(tmp_path):
+    # A byte that is not UTF-8 is a ParseError naming the file, whether it
+    # sits in the header, the first block or a later one.  The decoder's
+    # offset counts from its chunk, not the file, so none is reported.
+    t0 = datetime(2010, 1, 1)
+    rows = "".join(f"{t0 + timedelta(minutes=10 * k):%Y-%m-%dT%H:%M:%S}Z,1.0\n"
+                   for k in range(2 * ingest._CHUNK_CHARS // 25)).encode()
+    cases = [(parse_series, b"time\xffstamp,value\n" + rows),
+             (parse_series, b"timestamp,value\n\xff" + rows),
+             (parse_series, b"timestamp,value\n" + rows + b"\xff"),
+             (parse_station_meta, b"station_id,height\nWYN,42\xff2\n")]
+    for i, (parse, data) in enumerate(cases):
+        path = tmp_path / f"s{i}.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="cannot decode") as info:
+            parse(path) if parse is parse_station_meta else parse(path, "S1")
+        assert info.value.path == str(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "position" not in str(info.value)
+
+
 def test_series_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     values = rng.random(50) * 30.0

@@ -278,6 +278,18 @@ def test_run_batch_products_and_warnings(tmp_path):
     assert mean == average_density([d_one, d_two])
 
 
+def test_run_batch_records_undecodable_station_as_failed(tmp_path):
+    stations, meta = _write_batch_inputs(tmp_path)
+    bad = stations / "s_bad.csv"
+    bad.write_bytes(b"timestamp,value\n2010-01-01T00:00:00Z,\xff1.0\n")
+    summary = run_batch(stations, meta,
+                        small_config(tmp_path / "out", min_run_lengths=(1,)))
+    entry, = [s for s in summary["stations"] if s["station_id"] == "s_bad"]
+    assert entry["status"] == "failed"
+    assert entry["message"].startswith(f"{bad}: cannot decode text")
+    assert summary["partial"] is True
+
+
 def test_run_batch_rerun_byte_identical(tmp_path):
     stations, meta = _write_batch_inputs(tmp_path)
     out = tmp_path / "out"

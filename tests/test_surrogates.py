@@ -65,7 +65,7 @@ def test_surrogate_cv_distribution_mean_near_one():
 def test_scalar_band_matches_quantile_rule():
     pp = make_pp(n=80)
     config = SurrogateConfig(seed=11, n_surrogates=64)
-    _, band = cell_bands(pp, NO_TAUS, config)
+    _, band, _ = cell_bands(pp, NO_TAUS, config)
 
     samples = np.empty(64)
     for i in range(64):
@@ -84,16 +84,16 @@ def test_scalar_band_classifications():
                                        in_cluster_rate=0.05,
                                        mean_cluster_size=8.0,
                                        window=1e6, seed=89))
-    cv_band, _ = cell_bands(bursty, NO_TAUS, config)
+    cv_band, _, _ = cell_bands(bursty, NO_TAUS, config)
     assert cv_band.classification == "clustered"
 
     periodic = generate(SynthSpec.periodic(period=3600.0, window=1e6, seed=1))
-    band, _ = cell_bands(periodic, NO_TAUS, config)
+    band, _, _ = cell_bands(periodic, NO_TAUS, config)
     assert band.observed == 0.0
     assert band.classification == "quasi-periodic"
 
     poisson = generate(SynthSpec.poisson(rate=5e-4, window=1e6, seed=97))
-    cv_band, lv_band = cell_bands(poisson, NO_TAUS, config)
+    cv_band, lv_band, _ = cell_bands(poisson, NO_TAUS, config)
     assert cv_band.classification == "poissonian"
     assert lv_band.classification == "poissonian"
 
@@ -107,9 +107,9 @@ def test_scalar_band_validation():
 
 def test_band_widening_never_narrows():
     pp = make_pp(n=60)
-    narrow, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+    narrow, _, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
         seed=3, n_surrogates=100, band=(0.1, 0.9)))
-    wide, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+    wide, _, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
         seed=3, n_surrogates=100, band=(0.025, 0.975)))
     assert wide.lo <= narrow.lo and wide.hi >= narrow.hi
 
@@ -117,7 +117,7 @@ def test_band_widening_never_narrows():
 def test_two_surrogate_band_follows_rank_rule():
     pp = make_pp(n=40)
     config = SurrogateConfig(seed=5, n_surrogates=2)
-    band, _ = cell_bands(pp, NO_TAUS, config)
+    band, _, _ = cell_bands(pp, NO_TAUS, config)
     samples = np.sort([coefficient_of_variation(
         np.diff(poisson_surrogate(pp, 5, stream=i).times)) for i in range(2)])
     # One-based rank p*(n-1)+1 with n=2 interpolates just inside min/max.
@@ -141,6 +141,40 @@ def test_af_band_undefined_taus_report_zero_samples():
     _, _, band = cell_bands(pp, taus, SurrogateConfig(seed=13, n_surrogates=16))
     assert band.n_samples.tolist() == [16, 0]
     assert np.isnan(band.lo[1]) and np.isnan(band.hi[1])
+
+
+def test_af_band_partially_defined_taus_use_defined_values():
+    # Four events and a tau with two complete counting windows: about one
+    # surrogate in ten has fewer than two events inside them, so its factor
+    # is undefined there while the rest are defined.  The band edges at
+    # that tau are the quantiles of the defined values alone.
+    pp = make_pp(n=4)
+    taus = np.array([2e4, 3.4e5, 6e5])
+    n_surrogates = 60
+    _, _, band = cell_bands(pp, taus, SurrogateConfig(
+        seed=23, n_surrogates=n_surrogates))
+    assert band.n_samples[0] == n_surrogates and band.n_samples[2] == 0
+    assert 0 < band.n_samples[1] < n_surrogates
+
+    surrogates = [poisson_surrogate(pp, 23, stream=i)
+                  for i in range(n_surrogates)]
+    for j in (0, 1):
+        processes = [counting_process(s, taus[j]) for s in surrogates]
+        values = [allan_factor(cp) for cp in processes if cp.counts.sum() >= 2]
+        assert band.n_samples[j] == len(values)
+        assert band.lo[j] == linear_quantile(values, 0.025)
+        assert band.hi[j] == linear_quantile(values, 0.975)
+    assert np.isnan(band.lo[2]) and np.isnan(band.hi[2])
+
+
+def test_cell_bands_empty_grid_gives_empty_af_band():
+    pp = make_pp(n=60)
+    config = SurrogateConfig(seed=3, n_surrogates=20)
+    cv_band, lv_band, af_band = cell_bands(pp, NO_TAUS, config)
+    for name in ("taus", "lo", "hi", "n_samples"):
+        assert getattr(af_band, name).shape == (0,)
+    banded = cell_bands(pp, np.geomspace(1e4, 1e5, 4), config)
+    assert (cv_band, lv_band) == banded[:2]
 
 
 def test_cell_bands_golden():
