@@ -33,14 +33,15 @@ series = SampledSeries(station_id="demo", dt=600.0,
                        t0=datetime(2010, 1, 1, tzinfo=timezone.utc),
                        values=values, missing=missing)
 
-workdir = Path(tempfile.mkdtemp(prefix="runclust-demo-"))
-csv_path = workdir / "station.csv"
-write_series(series, csv_path)
-print(f"wrote {csv_path} ({series.n_samples} samples at dt={series.dt:.0f}s)")
+with tempfile.TemporaryDirectory(prefix="runclust-demo-") as workdir:
+    csv_path = Path(workdir) / "station.csv"
+    write_series(series, csv_path)
+    print(f"wrote {csv_path} ({series.n_samples} samples "
+          f"at dt={series.dt:.0f}s)")
 
-# Parse it back: the parser validates the timestamp grid and keeps an
-# explicit missing-sample mask; a gap terminates any ongoing run.
-series = parse_series(csv_path, station_id="demo", dt=600.0)
+    # Parse it back: the parser validates the timestamp grid and keeps an
+    # explicit missing-sample mask; a gap terminates any ongoing run.
+    series = parse_series(csv_path, station_id="demo", dt=600.0)
 print(f"parsed {series.n_samples} samples, "
       f"gap fraction {series.gap_fraction:.4f}")
 

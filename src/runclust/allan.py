@@ -301,9 +301,6 @@ class AfCurve:
 
     taus: np.ndarray
     af: np.ndarray
-    station_id: str = ""
-    percentile: float | None = None
-    min_run_length: int = 1
     reasons: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -339,10 +336,7 @@ def af_curve(pp: MarkedPointProcess, taus: np.ndarray) -> AfCurve:
                if pp.duration // tau < 2
                else "fewer than two events in complete windows"
                for tau in taus[np.isnan(af)]}
-    percentile = pp.threshold.percentile if pp.threshold is not None else None
-    return AfCurve(taus=taus, af=af, station_id=pp.station_id,
-                   percentile=percentile, min_run_length=pp.min_run_length,
-                   reasons=reasons)
+    return AfCurve(taus=taus, af=af, reasons=reasons)
 
 
 @dataclass(frozen=True)

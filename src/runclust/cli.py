@@ -39,31 +39,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Flag and argparse spec of each ``AnalysisConfig.as_mapping`` key, in
+# ``--help`` order.  An omitted flag is ``None``: the file or default holds.
+_ANALYSIS_FLAGS = {
+    "output_dir": ("--out", dict(metavar="DIR", help="output directory")),
+    "seed": ("--seed", dict(type=int, help="master surrogate seed")),
+    "percentiles": ("--percentiles", dict(type=float, nargs="+", metavar="P")),
+    "min_run_lengths": ("--min-run-lengths",
+                        dict(type=int, nargs="+", metavar="M")),
+    "tau_lo": ("--tau-lo", dict(type=float, metavar="SECONDS")),
+    "tau_hi": ("--tau-hi", dict(type=float, metavar="SECONDS")),
+    "tau_points": ("--tau-points", dict(type=int, metavar="N")),
+    "n_surrogates": ("--n-surrogates", dict(type=int, metavar="N")),
+    "band_lo": ("--band-lo", dict(type=float, metavar="Q")),
+    "band_hi": ("--band-hi", dict(type=float, metavar="Q")),
+    "dp_cutoff": ("--dp-cutoff", dict(type=float, metavar="SECONDS")),
+    "min_events": ("--min-events", dict(type=int, metavar="N")),
+    "threshold_floor": ("--threshold-floor", dict(type=int, metavar="N")),
+    "fit": ("--no-fit", dict(action="store_const", const=False,
+                             help="skip the power-law fit")),
+    "dt": ("--dt", dict(type=float, metavar="SECONDS")),
+    "workers": ("--workers", dict(type=int, metavar="N")),
+}
+
+
 def _add_analysis_flags(parser: _Parser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON config file; flags override its values")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, help="master surrogate seed")
-    parser.add_argument("--percentiles", type=float, nargs="+", metavar="P")
-    parser.add_argument("--min-run-lengths", type=int, nargs="+", metavar="M")
-    parser.add_argument("--tau-lo", type=float, metavar="SECONDS")
-    parser.add_argument("--tau-hi", type=float, metavar="SECONDS")
-    parser.add_argument("--tau-points", type=int, metavar="N")
-    parser.add_argument("--n-surrogates", type=int, metavar="N")
-    parser.add_argument("--band-lo", type=float, metavar="Q")
-    parser.add_argument("--band-hi", type=float, metavar="Q")
-    parser.add_argument("--dp-cutoff", type=float, metavar="SECONDS")
-    parser.add_argument("--min-events", type=int, metavar="N")
-    parser.add_argument("--threshold-floor", type=int, metavar="N")
-    parser.add_argument("--no-fit", action="store_true",
-                        help="skip the power-law fit")
-    parser.add_argument("--dt", type=float, metavar="SECONDS")
-    parser.add_argument("--workers", type=int, metavar="N")
-
-
-_CONFIG_FLAGS = ("seed", "percentiles", "min_run_lengths", "tau_lo", "tau_hi",
-                 "tau_points", "n_surrogates", "band_lo", "band_hi",
-                 "dp_cutoff", "min_events", "threshold_floor", "dt", "workers")
+    for key, (flag, spec) in _ANALYSIS_FLAGS.items():
+        parser.add_argument(flag, dest=key, **spec)
 
 
 def _build_config(parser: _Parser, args) -> AnalysisConfig:
@@ -75,18 +79,12 @@ def _build_config(parser: _Parser, args) -> AnalysisConfig:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(mapping, dict):
             parser.error("config file must hold a JSON object")
-    for key in _CONFIG_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = value
-    if args.no_fit:
-        mapping["fit"] = False
-    if args.out is not None:
-        mapping["output_dir"] = args.out
+    flags = {key: getattr(args, key) for key in _ANALYSIS_FLAGS}
+    mapping.update({k: v for k, v in flags.items() if v is not None})
     try:
         config = AnalysisConfig.from_mapping(mapping)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except (TypeError, ValueError) as exc:  # TypeError: a wrongly typed
+        parser.error(str(exc))              # value in the config file
     print(json.dumps(config.as_mapping(), sort_keys=True))
     return config
 
@@ -168,6 +166,17 @@ def _cmd_synth(parser: _Parser, args) -> int:
 
 
 def _cmd_af(parser: _Parser, args) -> int:
+    surrogates = None
+    if args.n_surrogates > 0:
+        if args.seed is None:
+            parser.error("--seed is required when --n-surrogates > 0")
+        if args.n_surrogates == 1:
+            parser.error("--n-surrogates must be 0 or at least 2")
+        try:
+            surrogates = SurrogateConfig(args.seed, args.n_surrogates,
+                                         (args.band_lo, args.band_hi))
+        except ValueError as exc:
+            parser.error(str(exc))
     pp = read_events(args.events)
     if args.tau_lo is None and not pp.dt > 0:
         parser.error("events carry no sampling step; pass --tau-lo/--tau-hi")
@@ -176,10 +185,6 @@ def _cmd_af(parser: _Parser, args) -> int:
                            args.tau_points).resolve(pp.dt, pp.duration)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.n_surrogates > 0 and args.seed is None:
-        parser.error("--seed is required when --n-surrogates > 0")
-    if args.n_surrogates == 1:
-        parser.error("--n-surrogates must be 0 or at least 2")
 
     curve = af_curve(pp, taus)
     if pp.n_events >= 3:
@@ -192,11 +197,8 @@ def _cmd_af(parser: _Parser, args) -> int:
 
     header = ["tau_seconds", "af"]
     columns = [taus.tolist(), curve.af.tolist()]
-    if args.n_surrogates > 0:
-        band = cell_bands(pp, taus,
-                          SurrogateConfig(seed=args.seed,
-                                          n_surrogates=args.n_surrogates,
-                                          band=(args.band_lo, args.band_hi)))[2]
+    if surrogates is not None:
+        band = cell_bands(pp, taus, surrogates)[2]
         dp = dict(departure(curve, band, args.dp_cutoff))
         header += ["band_lo", "band_hi", "dp"]
         columns += [band.lo.tolist(), band.hi.tolist(),
@@ -273,12 +275,12 @@ def _make_parser() -> _Parser:
     p.add_argument("events", help="events CSV written by analyze/synth")
     p.add_argument("--tau-lo", type=float, metavar="SECONDS")
     p.add_argument("--tau-hi", type=float, metavar="SECONDS")
-    p.add_argument("--tau-points", type=int, default=60, metavar="N")
+    p.add_argument("--tau-points", type=int, default=TauGridSpec.points, metavar="N")
     p.add_argument("--n-surrogates", type=int, default=0, metavar="N",
                    help="surrogate band size (0 disables the band)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--band-lo", type=float, default=0.025)
-    p.add_argument("--band-hi", type=float, default=0.975)
+    p.add_argument("--band-lo", type=float, default=SurrogateConfig.band[0])
+    p.add_argument("--band-hi", type=float, default=SurrogateConfig.band[1])
     p.add_argument("--dp-cutoff", type=float, default=DP_CUTOFF,
                    metavar="SECONDS")
     p.add_argument("--no-fit", action="store_true")

@@ -88,6 +88,11 @@ class AnalysisConfig:
     ``seed`` is the master seed every surrogate substream derives from;
     runs with surrogates always require it.  ``workers`` bounds the
     process pool (``None`` = the machine's CPU count).
+
+    The tau grid, ``n_surrogates`` and ``band`` take their defaults from
+    :class:`TauGridSpec` and :class:`SurrogateConfig`.  Every value is
+    checked here, before any input is read; the seed, surrogate count
+    and band by building the :class:`SurrogateConfig` each cell builds.
     """
 
     seed: int
@@ -95,8 +100,8 @@ class AnalysisConfig:
     percentiles: tuple[float, ...] = (0.95, 0.975, 0.99)
     min_run_lengths: tuple[int, ...] = tuple(range(1, 31))
     tau_grid: TauGridSpec = TauGridSpec()
-    n_surrogates: int = 1000
-    band: tuple[float, float] = (0.025, 0.975)
+    n_surrogates: int = SurrogateConfig.n_surrogates
+    band: tuple[float, float] = SurrogateConfig.band
     dp_cutoff: float = DP_CUTOFF
     min_events: int = 3
     threshold_floor: int = 100
@@ -121,51 +126,42 @@ class AnalysisConfig:
             raise ValueError("min_events below 3 cannot support scalar bands")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        SurrogateConfig(self.seed, self.n_surrogates, self.band)
+        object.__setattr__(self, "output_dir", str(self.output_dir))
         object.__setattr__(self, "percentiles", tuple(float(p) for p in self.percentiles))
         object.__setattr__(self, "min_run_lengths",
                            tuple(int(m) for m in self.min_run_lengths))
 
     def as_mapping(self) -> dict:
-        """Flat mapping of the effective configuration, for echoing."""
-        return {
-            "seed": self.seed,
-            "output_dir": str(self.output_dir),
-            "percentiles": list(self.percentiles),
-            "min_run_lengths": list(self.min_run_lengths),
-            "tau_lo": self.tau_grid.lo,
-            "tau_hi": self.tau_grid.hi,
-            "tau_points": self.tau_grid.points,
-            "n_surrogates": self.n_surrogates,
-            "band_lo": self.band[0],
-            "band_hi": self.band[1],
-            "dp_cutoff": self.dp_cutoff,
-            "min_events": self.min_events,
-            "threshold_floor": self.threshold_floor,
-            "fit": self.fit,
-            "dt": self.dt,
-            "workers": self.workers,
-        }
+        """Flat mapping of the effective configuration, for echoing: one
+        key per field, with the tau grid and the band spelled out."""
+        mapping = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        grid = mapping.pop("tau_grid")
+        band_lo, band_hi = mapping.pop("band")
+        mapping.update(tau_lo=grid.lo, tau_hi=grid.hi, tau_points=grid.points,
+                       band_lo=band_lo, band_hi=band_hi)
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in mapping.items()}
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "AnalysisConfig":
-        """Inverse of :meth:`as_mapping`; unknown keys are an error."""
-        direct = {f.name for f in dataclasses.fields(cls)} - {"tau_grid", "band"}
-        unknown = set(mapping) - direct - {"tau_lo", "tau_hi", "tau_points",
-                                           "band_lo", "band_hi"}
+        """Inverse of :meth:`as_mapping`: a missing key takes its default,
+        an unknown key is an error."""
+        values = cls(seed=0, output_dir="").as_mapping()
+        unknown = set(mapping) - set(values)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if mapping.get("seed") is None:
             raise ValueError("config requires a seed")
         if mapping.get("output_dir") is None:
             raise ValueError("config requires an output_dir")
-        grid = TauGridSpec(
-            lo=mapping.get("tau_lo"),
-            hi=mapping.get("tau_hi"),
-            points=mapping.get("tau_points", TauGridSpec.points))
-        band = (mapping.get("band_lo", cls.band[0]),
-                mapping.get("band_hi", cls.band[1]))
-        return cls(tau_grid=grid, band=band,
-                   **{k: v for k, v in mapping.items() if k in direct})
+        values.update(mapping)
+        grid = TauGridSpec(values.pop("tau_lo"), values.pop("tau_hi"),
+                           values.pop("tau_points"))
+        band = (values.pop("band_lo"), values.pop("band_hi"))
+        return cls(tau_grid=grid, band=band, **values)
 
 
 def derive_cell_seed(master_seed: int, station_id: str, percentile: float,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import SampledSeries
+from .ingest import ParseError, SampledSeries, _open_csv
 
 __all__ = [
     "MarkedPointProcess",
@@ -267,7 +267,10 @@ def read_events(path: str | Path) -> MarkedPointProcess:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise ValueError(f"missing events sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:  # undecodable text or malformed JSON
+        raise ParseError(f"cannot parse events sidecar: {exc}", sidecar) from None
     if not isinstance(meta, dict):
         raise ValueError(f"events sidecar {sidecar} must hold a JSON object")
     for key in ("window_start", "window_end", "dt"):
@@ -276,17 +279,20 @@ def read_events(path: str | Path) -> MarkedPointProcess:
 
     times: list[float] = []
     lengths: list[int] = []
-    with open(path) as handle:
-        header = handle.readline().strip()
-        if header != "event_time,run_length":
-            raise ValueError(f"{path}: expected header 'event_time,run_length'")
-        for line in handle:
+    with _open_csv(path) as handle:
+        if handle.readline().strip() != "event_time,run_length":
+            raise ParseError("expected header 'event_time,run_length'", path, 1)
+        for number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
-            t_text, m_text = line.split(",")
-            times.append(float(t_text))
-            lengths.append(int(m_text))
+            try:
+                t_text, m_text = line.split(",")
+                times.append(float(t_text))
+                lengths.append(int(m_text))
+            except ValueError:
+                raise ParseError(f"malformed event row {line!r}", path,
+                                 number) from None
 
     threshold = None
     if meta.get("threshold") is not None:

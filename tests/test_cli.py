@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from runclust.cli import main
+from runclust.cli import _ANALYSIS_FLAGS, main
 from runclust.ingest import parse_series, write_series
+from runclust.pipeline import AnalysisConfig
 from runclust.runs import MarkedPointProcess, read_events, write_events
 from runclust.synth import SynthSpec, generate_series
 
@@ -130,6 +131,34 @@ def test_analyze_usage_errors_exit_1(tmp_path, capsys):
     not_object.write_text("[1, 2]\n")
     assert call(["analyze", str(station), "--config", str(not_object)]) == 1
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
+    station = tmp_path / "stn_a.csv"
+    render_station(station)
+    out = tmp_path / "out"
+    base = ["analyze", str(station), "--out", str(out), "--seed", "1",
+            "--percentiles", "0.95", "--min-run-lengths", "1",
+            "--tau-points", "10", "--n-surrogates", "16"]
+    cases = [
+        (["--band-lo", "0.9", "--band-hi", "0.1"], "0 < lo < hi < 1"),
+        (["--n-surrogates", "1"], "at least 2 surrogates"),
+        (["--n-surrogates", "0"], "at least 2 surrogates"),
+        (["--seed", "-1"], "64-bit unsigned integer"),
+        (["--dt", "0"], "dt must be positive"),
+    ]
+    for extra, message in cases:
+        assert call(base + extra) == 1, extra
+        assert message in capsys.readouterr().err, extra
+        assert not out.exists(), extra
+
+    # A wrongly typed value in a config file is a usage error too.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_surrogates": "many"}))
+    assert call(["analyze", str(station), "--config", str(cfg),
+                 "--seed", "1", "--out", str(out)]) == 1
+    assert "runclust: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_data_errors_exit_2(tmp_path, capsys):
@@ -298,12 +327,19 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
                  "--tau-points", "0"]) == 1
     assert call(["af", str(events), "--tau-lo", "60000",
                  "--tau-hi", "1200"]) == 1
+    assert call(["af", str(events)] + grid +
+                ["--n-surrogates", "10", "--seed", "-1"]) == 1
+    assert call(["af", str(events)] + grid +
+                ["--n-surrogates", "10", "--seed", "4",
+                 "--band-lo", "0.9", "--band-hi", "0.1"]) == 1
     err = capsys.readouterr().err
     assert "--seed is required" in err
     assert "must be 0 or at least 2" in err
     assert "events carry no sampling step" in err
     assert "at least 1 point" in err
     assert "hi must be >= lo" in err
+    assert "64-bit unsigned integer" in err
+    assert "0 < lo < hi < 1" in err
 
 
 def test_af_two_events_and_lone_tau_lo(tmp_path, capsys):
@@ -353,6 +389,36 @@ def test_af_missing_sidecar_exits_2(tmp_path, capsys):
         assert call(["af", str(tmp_path / "e.csv")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "e.json" in err and message in err
+
+
+def test_af_malformed_events_name_file_and_line(tmp_path, capsys):
+    events = tmp_path / "e.csv"
+    write_events(MarkedPointProcess(times=[0.0, 1200.0, 5400.0],
+                                    lengths=[1, 1, 2], window_start=0.0,
+                                    window_end=6.0e5, dt=600.0), events)
+    good = events.read_text().splitlines()
+    for line, row, message in ((3, "1200.0,1,7",
+                                "malformed event row '1200.0,1,7'"),
+                               (2, "abc,1", "malformed event row 'abc,1'")):
+        rows = list(good)
+        rows[line - 1] = row
+        events.write_text("\n".join(rows) + "\n")
+        assert call(["af", str(events), "--tau-points", "4"]) == 2
+        assert (f"data error: {events}, line {line}: {message}"
+                in capsys.readouterr().err)
+
+    events.write_text("\n".join(good) + "\n")
+    (tmp_path / "e.json").write_text('{"window_start": 0.0,')
+    assert call(["af", str(events), "--tau-points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'e.json'}: cannot parse events sidecar" in err
+
+    write_events(MarkedPointProcess(times=[0.0, 1200.0], lengths=[1, 1],
+                                    window_start=0.0, window_end=6.0e5,
+                                    dt=600.0), events)
+    events.write_bytes(events.read_bytes() + b"\xff,1\n")
+    assert call(["af", str(events), "--tau-points", "4"]) == 2
+    assert f"data error: {events}: cannot decode text" in capsys.readouterr().err
 
 
 def test_af_undefined_everywhere_exits_3(tmp_path, capsys):
@@ -426,3 +492,57 @@ def test_batch_data_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no station CSVs found" in err
     assert "cannot read file" in err
+
+
+def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
+    stations = tmp_path / "stations"
+    stations.mkdir()
+    render_station(stations / "alpha.csv")
+    meta = tmp_path / "meta.csv"
+    meta.write_text("station_id,height\nalpha,640\n")
+    out = tmp_path / "out"
+    code = call(["batch", str(stations), str(meta), "--out", str(out),
+                 "--seed", "11", "--percentiles", "0.95",
+                 "--min-run-lengths", "1", "--tau-points", "10",
+                 "--n-surrogates", "16", "--band-lo", "0.9", "--band-hi", "0.1"])
+    assert code == 1
+    assert "0 < lo < hi < 1" in capsys.readouterr().err
+    assert not (out / "batch.json").exists()
+    assert not out.exists()
+
+
+# A non-default value for every config key: the flag's argv words and
+# the value the effective configuration then echoes.
+FLAG_VALUES = {
+    "output_dir": (["elsewhere"], "elsewhere"),
+    "seed": (["5"], 5),
+    "percentiles": (["0.9", "0.99"], [0.9, 0.99]),
+    "min_run_lengths": (["2", "3"], [2, 3]),
+    "tau_lo": (["1500"], 1500.0),
+    "tau_hi": (["9e5"], 9e5),
+    "tau_points": (["12"], 12),
+    "n_surrogates": (["50"], 50),
+    "band_lo": (["0.05"], 0.05),
+    "band_hi": (["0.9"], 0.9),
+    "dp_cutoff": (["7000"], 7000.0),
+    "min_events": (["5"], 5),
+    "threshold_floor": (["10"], 10),
+    "fit": ([], False),
+    "dt": (["300"], 300.0),
+    "workers": (["2"], 2),
+}
+
+
+def test_analysis_flag_table_covers_every_config_key(tmp_path, capsys):
+    defaults = AnalysisConfig(seed=1, output_dir="o").as_mapping()
+    assert set(_ANALYSIS_FLAGS) == set(defaults)
+    assert set(FLAG_VALUES) == set(defaults)
+    ghost = str(tmp_path / "ghost.csv")
+    for key, (flag, _) in _ANALYSIS_FLAGS.items():
+        words, value = FLAG_VALUES[key]
+        assert value != defaults[key], key
+        code = call(["analyze", ghost, "--seed", "1", "--out", "o", flag]
+                    + words)
+        echo = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert code == 2, key      # the config is echoed, then the read fails
+        assert echo == {**defaults, key: value}, key

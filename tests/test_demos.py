@@ -3,7 +3,7 @@
 The demos are the documented tour of the public API, so each runs as a
 user would run it, in a fresh interpreter with ``src`` on the path.
 Temporary directories the demos make land under the test's own
-directory.
+directory, and each demo must remove its own before it exits.
 """
 
 import os
@@ -26,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("runclust-*"))

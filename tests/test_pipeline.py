@@ -84,6 +84,13 @@ def test_analysis_config_validation(tmp_path):
         small_config(tmp_path, min_events=2)
     with pytest.raises(ValueError, match="workers"):
         small_config(tmp_path, workers=0)
+    for overrides, message in (({"band": (0.9, 0.1)}, "0 < lo < hi < 1"),
+                               ({"n_surrogates": 1}, "at least 2 surrogates"),
+                               ({"n_surrogates": 0}, "at least 2 surrogates"),
+                               ({"seed": -1}, "64-bit unsigned integer"),
+                               ({"dt": 0.0}, "dt must be positive")):
+        with pytest.raises(ValueError, match=message):
+            small_config(tmp_path, **overrides)
 
 
 def test_analysis_config_mapping_round_trip(tmp_path):
