@@ -167,11 +167,11 @@ def _cmd_synth(parser: _Parser, args) -> int:
 
 def _cmd_af(parser: _Parser, args) -> int:
     surrogates = None
-    if args.n_surrogates > 0:
+    if args.n_surrogates < 0 or args.n_surrogates == 1:
+        parser.error("--n-surrogates must be 0 or at least 2")
+    if args.n_surrogates:
         if args.seed is None:
             parser.error("--seed is required when --n-surrogates > 0")
-        if args.n_surrogates == 1:
-            parser.error("--n-surrogates must be 0 or at least 2")
         try:
             surrogates = SurrogateConfig(args.seed, args.n_surrogates,
                                          (args.band_lo, args.band_hi))

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -52,6 +53,33 @@ __all__ = [
 ]
 
 
+# Types a config value of each kind may have, and the kind's name in
+# messages.  A bool is no integer or real number here, though Python
+# counts it as both.
+_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number")}
+
+
+def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
+    """Raise TypeError naming config key ``key`` unless ``value`` is of
+    ``kind`` (``bool``, ``int`` or ``float``), or ``None`` and
+    ``optional``."""
+    if optional and value is None:
+        return
+    accepted, name = _KINDS[kind]
+    if not isinstance(value, accepted) or (kind is not bool
+                                           and isinstance(value, bool)):
+        raise TypeError(f"{key} must be {name}{' or null' if optional else ''}, "
+                        f"got {value!r}")
+
+
+def _check_list(key: str, values, kind: type) -> None:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{key} must be a list, got {values!r}")
+    for value in values:
+        _check_type(key, value, kind)
+
+
 @dataclass(frozen=True)
 class TauGridSpec:
     """Geometric tau grid; ``lo``/``hi`` default to twice the sampling
@@ -62,6 +90,9 @@ class TauGridSpec:
     points: int = 60
 
     def __post_init__(self):
+        _check_type("tau_lo", self.lo, float, optional=True)
+        _check_type("tau_hi", self.hi, float, optional=True)
+        _check_type("tau_points", self.points, int)
         if self.points < 1:
             raise ValueError("tau grid needs at least 1 point")
         if self.lo is not None and not self.lo > 0:
@@ -91,7 +122,8 @@ class AnalysisConfig:
 
     The tau grid, ``n_surrogates`` and ``band`` take their defaults from
     :class:`TauGridSpec` and :class:`SurrogateConfig`.  Every value is
-    checked here, before any input is read; the seed, surrogate count
+    checked here, before any input is read: first its type, naming its
+    :meth:`as_mapping` key, then its range; the seed, surrogate count
     and band by building the :class:`SurrogateConfig` each cell builds.
     """
 
@@ -110,6 +142,26 @@ class AnalysisConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise TypeError(f"output_dir must be a path, got {self.output_dir!r}")
+        _check_list("percentiles", self.percentiles, float)
+        _check_list("min_run_lengths", self.min_run_lengths, int)
+        if not isinstance(self.tau_grid, TauGridSpec):
+            raise TypeError("tau_grid must be a TauGridSpec")
+        if not isinstance(self.band, (list, tuple)) or len(self.band) != 2:
+            raise TypeError(f"band must be a pair of levels, got {self.band!r}")
+        for key, value, kind in (
+                ("seed", self.seed, int),
+                ("n_surrogates", self.n_surrogates, int),
+                ("band_lo", self.band[0], float),
+                ("band_hi", self.band[1], float),
+                ("dp_cutoff", self.dp_cutoff, float),
+                ("min_events", self.min_events, int),
+                ("threshold_floor", self.threshold_floor, int),
+                ("fit", self.fit, bool),
+                ("dt", self.dt, float)):
+            _check_type(key, value, kind)
+        _check_type("workers", self.workers, int, optional=True)
         if not self.percentiles:
             raise ValueError("need at least one percentile")
         if any(not 0.0 < p < 1.0 for p in self.percentiles):

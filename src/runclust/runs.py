@@ -118,13 +118,14 @@ class MarkedPointProcess:
         if not 0.0 <= self.gap_fraction <= 1.0:
             raise ValueError("gap_fraction must lie in [0, 1]")
         if times.size:
-            if np.any(np.diff(times) <= 0):
+            if np.any(times[1:] <= times[:-1]):
                 raise ValueError("event times must be strictly increasing")
             if times[0] < self.window_start or times[-1] >= self.window_end:
                 raise ValueError("event times must lie inside the window")
-            if np.any(lengths < 1):
+            shortest = lengths.min()
+            if shortest < 1:
                 raise ValueError("run lengths must be >= 1")
-            if np.any(lengths < self.min_run_length):
+            if shortest < self.min_run_length:
                 raise ValueError("run length below the declared minimum")
             if self.dt > 0:
                 if times[-1] + (lengths[-1] - 1) * self.dt > self.window_end:
@@ -276,9 +277,13 @@ def read_events(path: str | Path) -> MarkedPointProcess:
     for key in ("window_start", "window_end", "dt"):
         if key not in meta:
             raise ValueError(f"events sidecar {sidecar} lacks {key!r}")
+        if not isinstance(meta[key], (int, float)) or isinstance(meta[key], bool):
+            raise ParseError(f"{key!r} must be a number, got {meta[key]!r}",
+                             sidecar)
 
     times: list[float] = []
     lengths: list[int] = []
+    row_lines: list[int] = []
     with _open_csv(path) as handle:
         if handle.readline().strip() != "event_time,run_length":
             raise ParseError("expected header 'event_time,run_length'", path, 1)
@@ -293,16 +298,29 @@ def read_events(path: str | Path) -> MarkedPointProcess:
             except ValueError:
                 raise ParseError(f"malformed event row {line!r}", path,
                                  number) from None
+            row_lines.append(number)
+
+    # The process checks these too, but only a row here can name its line.
+    start, end = meta["window_start"], meta["window_end"]
+    event_times = np.asarray(times, dtype=float)
+    unordered = np.flatnonzero(event_times[1:] <= event_times[:-1])
+    if unordered.size:
+        raise ParseError("event times must be strictly increasing", path,
+                         row_lines[unordered[0] + 1])
+    outside = np.flatnonzero((event_times < start) | (event_times >= end))
+    if outside.size:
+        raise ParseError(f"event time outside the window [{start}, {end})",
+                         path, row_lines[outside[0]])
 
     threshold = None
     if meta.get("threshold") is not None:
         threshold = ThresholdSpec(value=meta["threshold"]["value"],
                                   percentile=meta["threshold"]["percentile"])
     return MarkedPointProcess(
-        times=np.asarray(times, dtype=float),
+        times=event_times,
         lengths=np.asarray(lengths, dtype=np.int64),
-        window_start=meta["window_start"],
-        window_end=meta["window_end"],
+        window_start=start,
+        window_end=end,
         dt=meta["dt"],
         station_id=meta.get("station_id", ""),
         threshold=threshold,

@@ -78,10 +78,13 @@ def _sorted_uniform(rng: np.random.Generator, n: int, start: float,
     # ``n`` sorted i.i.d. uniform times on [start, start + span).  Ties have
     # probability ~n^2/2^53 but would break strict monotonicity; redraw
     # from the same substream until clean.
-    times = np.sort(start + rng.random(n) * span)
-    while np.any(np.diff(times) == 0):
-        times = np.sort(start + rng.random(n) * span)
-    return times
+    while True:
+        times = rng.random(n)
+        times *= span
+        times += start
+        times.sort()
+        if not np.any(times[1:] == times[:-1]):
+            return times
 
 
 def _surrogate_times(pp: MarkedPointProcess, seed: int,

@@ -11,6 +11,16 @@ geometric law on {1, 2, ...}.
 
 Every generator is deterministic given the spec's seed; randomness uses
 the same keyed Philox substreams as the surrogate module.
+
+The marks are exactly those of ``Generator.geometric(mark_q)``.  For
+``mark_q`` >= 1/3 numpy draws one uniform double U per mark and
+searches for the smallest X with U <= S_X, the partial sums S_X of the
+probabilities, built as numpy builds them.  This module builds that
+S table once per ``mark_q`` and reads X from a table of U buckets, or,
+where X changes inside a bucket, from a binary search of S.  The same
+doubles from the same stream meet the same comparisons, so the marks
+and the generator's state after them match bit for bit.  Below 1/3
+numpy inverts an exponential draw instead, and that path calls it.
 """
 
 from __future__ import annotations
@@ -195,23 +205,94 @@ def _fractal_renewal_times(rng, gamma: float, min_gap: float,
     # Inverse-CDF Pareto gaps: T = min_gap * (1-U)^(-1/gamma).  The tail
     # is heavy, so draw in chunks until the cumulative time passes the
     # window; a single huge gap can end the process early and that is
-    # correct behaviour, not a failure.
+    # correct behaviour, not a failure.  Each chunk becomes gaps and then
+    # times in its own buffer, with the operations of the expression
+    # ``t + cumsum(min_gap * (1 - U) ** (-1/gamma))`` (``**=`` keeps the
+    # shortcuts ``**`` takes for exponents such as -1, which np.power
+    # lacks); the chunk size sets where each cumulative sum restarts, so
+    # it fixes the bits too.
     mean_gap = gamma / (gamma - 1.0) * min_gap if gamma > 1 else 10.0 * min_gap
     chunk = int(max(1024, min(2 ** 22, 1.2 * window / mean_gap + 16)))
     parts = []
     t = 0.0
     total = 0
     while t < window:
-        gaps = min_gap * (1.0 - rng.random(chunk)) ** (-1.0 / gamma)
-        cumulative = t + np.cumsum(gaps)
-        parts.append(cumulative)
-        t = float(cumulative[-1])
+        times = rng.random(chunk)
+        np.subtract(1.0, times, out=times)
+        times **= -1.0 / gamma
+        times *= min_gap
+        np.cumsum(times, out=times)
+        times += t
+        parts.append(times)
+        t = float(times[-1])
         total += chunk
         if total > 2 ** 26:
             raise ValueError("fractal renewal process exceeds 6.7e7 events; "
                              "shrink the window or raise min_gap")
-    times = np.concatenate(parts)
-    return times[times < window]
+    if len(parts) > 1:
+        times = np.concatenate(parts)
+    # Times never decrease, so the ones inside the window are a prefix.
+    return times[:np.searchsorted(times, window)]
+
+
+# Generator.geometric draws by search from this p upward (the literal is
+# numpy's), and by inversion below it.
+_GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333
+# The largest double Generator.random returns.
+_MAX_UNIFORM = 1.0 - 2.0 ** -53
+_MARK_BUCKETS = 4096
+# Doubles per draw; the buffers stay below glibc's mmap threshold for
+# the reason given at allan._BLOCK_EVENTS.
+_MARK_CHUNK = 8192
+
+
+@lru_cache(maxsize=8)
+def _geometric_table(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's search sampler as a table.
+
+    ``Generator.geometric(p)`` for p >= 1/3 takes one double U and
+    returns the smallest X with U <= S_X, where S_1 = p and each next S
+    adds ``prod *= q`` to the last.  Returns the S table, scaled by
+    ``_MARK_BUCKETS``, and for each bucket of U the X it always gives,
+    or 0 where X varies inside the bucket.
+    """
+    q = 1.0 - p
+    prod = total = p
+    sums = [total]
+    while total < _MAX_UNIFORM:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    scaled = np.array(sums) * _MARK_BUCKETS  # exact: a power of two
+    edges = np.arange(_MARK_BUCKETS + 1, dtype=float)
+    first = np.searchsorted(scaled, edges[:-1]) + 1
+    last = np.searchsorted(scaled, edges[1:] - _MARK_BUCKETS * 2.0 ** -53) + 1
+    return scaled, np.where(first == last, first, 0)
+
+
+def _geometric_marks(rng, p: float, n: int) -> np.ndarray:
+    """``rng.geometric(p, size=n)``, bit for bit and leaving ``rng`` in
+    the same state, drawn through :func:`_geometric_table` when numpy
+    would search."""
+    if p < _GEOMETRIC_SEARCH_MIN_P:
+        return rng.geometric(p, size=n)
+    scaled, lookup = _geometric_table(p)
+    marks = np.empty(n, dtype=np.int64)
+    u = np.empty(min(n, _MARK_CHUNK))
+    bucket = np.empty(u.size, dtype=np.intp)
+    for lo in range(0, n, _MARK_CHUNK):
+        out = marks[lo:lo + _MARK_CHUNK]
+        uu, bb = u[:out.size], bucket[:out.size]
+        rng.random(out=uu)
+        uu *= _MARK_BUCKETS
+        np.copyto(bb, uu, casting="unsafe")
+        np.take(lookup, bb, out=out, mode="clip")
+        varies = np.flatnonzero(out == 0)
+        if varies.size:
+            out[varies] = np.searchsorted(scaled, uu[varies]) + 1
+    return marks
 
 
 def _bursty_times(rng, cluster_rate: float, in_cluster_rate: float,
@@ -256,7 +337,7 @@ def generate(spec: SynthSpec) -> MarkedPointProcess:
         times = _bursty_times(rng, spec.cluster_rate, spec.in_cluster_rate,
                               spec.mean_cluster_size, w)
 
-    lengths = rng.geometric(spec.mark_q, size=times.size)
+    lengths = _geometric_marks(rng, spec.mark_q, times.size)
     return MarkedPointProcess(
         times=times, lengths=lengths, window_start=0.0, window_end=w,
         dt=0.0, station_id=f"synth-{spec.kind}", threshold=None,

@@ -161,6 +161,34 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_mistyped_config_values_exit_1_naming_the_key(tmp_path, capsys):
+    # The station file does not exist: a config error must stop the run
+    # before any input is read, which would exit 2.
+    station = tmp_path / "ghost.csv"
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cases = [({"dp_cutoff": "x"}, "dp_cutoff must be a real number"),
+             ({"workers": 1.5}, "workers must be an integer or null"),
+             ({"workers": True}, "workers must be an integer or null"),
+             ({"n_surrogates": 16.0}, "n_surrogates must be an integer"),
+             ({"min_events": False}, "min_events must be an integer"),
+             ({"threshold_floor": "100"}, "threshold_floor must be an integer"),
+             ({"fit": 1}, "fit must be true or false"),
+             ({"dt": True}, "dt must be a real number"),
+             ({"band_lo": "0.1"}, "band_lo must be a real number"),
+             ({"tau_points": 2.5}, "tau_points must be an integer"),
+             ({"tau_lo": "a"}, "tau_lo must be a real number or null"),
+             ({"percentiles": 0.95}, "percentiles must be a list"),
+             ({"min_run_lengths": [1, 2.5]}, "min_run_lengths must be an integer"),
+             ({"output_dir": 3}, "output_dir must be a path")]
+    for values, message in cases:
+        cfg.write_text(json.dumps({"output_dir": str(out), **values}))
+        assert call(["analyze", str(station), "--config", str(cfg),
+                     "--seed", "1"]) == 1, values
+        assert message in capsys.readouterr().err, values
+        assert not out.exists(), values
+
+
 def test_analyze_data_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert call(["analyze", str(tmp_path / "ghost.csv"), "--out", out,
@@ -341,6 +369,10 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
     assert "64-bit unsigned integer" in err
     assert "0 < lo < hi < 1" in err
 
+    for extra in (["--n-surrogates", "-3"], ["--n-surrogates", "-1", "--seed", "4"]):
+        assert call(["af", str(events)] + grid + extra) == 1, extra
+        assert "--n-surrogates must be 0 or at least 2" in capsys.readouterr().err
+
 
 def test_af_two_events_and_lone_tau_lo(tmp_path, capsys):
     pair = MarkedPointProcess(times=np.array([1200.0, 90000.0]),
@@ -419,6 +451,31 @@ def test_af_malformed_events_name_file_and_line(tmp_path, capsys):
     events.write_bytes(events.read_bytes() + b"\xff,1\n")
     assert call(["af", str(events), "--tau-points", "4"]) == 2
     assert f"data error: {events}: cannot decode text" in capsys.readouterr().err
+
+
+def test_af_events_out_of_order_or_window_name_file_and_line(tmp_path, capsys):
+    events = tmp_path / "e.csv"
+    write_events(MarkedPointProcess(times=[0.0, 1200.0, 5400.0, 9000.0],
+                                    lengths=[1, 1, 2, 1], window_start=0.0,
+                                    window_end=6.0e5, dt=600.0), events)
+    good = events.read_text().splitlines()
+    swapped = list(good)
+    swapped[2], swapped[3] = swapped[3], swapped[2]
+    late = list(good)
+    late[4] = "600000.0,1"
+    for rows, line, message in ((swapped, 4, "event times must be strictly increasing"),
+                                (late, 5, "event time outside the window")):
+        events.write_text("\n".join(rows) + "\n")
+        assert call(["af", str(events), "--tau-points", "4"]) == 2
+        assert (f"data error: {events}, line {line}: {message}"
+                in capsys.readouterr().err)
+
+    sidecar = tmp_path / "e.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "window_end": "6e5"}))
+    assert call(["af", str(events), "--tau-points", "4"]) == 2
+    assert (f"data error: {sidecar}: 'window_end' must be a number, got '6e5'"
+            in capsys.readouterr().err)
 
 
 def test_af_undefined_everywhere_exits_3(tmp_path, capsys):

@@ -93,6 +93,29 @@ def test_analysis_config_validation(tmp_path):
             small_config(tmp_path, **overrides)
 
 
+def test_analysis_config_type_checks(tmp_path):
+    for overrides, message in (({"seed": 1.0}, "seed must be an integer"),
+                               ({"seed": True}, "seed must be an integer"),
+                               ({"dp_cutoff": "x"}, "dp_cutoff must be a real"),
+                               ({"workers": 1.5}, "workers must be an integer"),
+                               ({"fit": None}, "fit must be true or false"),
+                               ({"band": (0.1, "0.9")}, "band_hi must be a real"),
+                               ({"band": (0.1,)}, "band must be a pair"),
+                               ({"percentiles": (0.9, True)},
+                                "percentiles must be a real")):
+        with pytest.raises(TypeError, match=message):
+            small_config(tmp_path, **overrides)
+    with pytest.raises(TypeError, match="tau_points must be an integer"):
+        TauGridSpec(points=True)
+    with pytest.raises(TypeError, match="tau_hi must be a real number or null"):
+        TauGridSpec(hi="1e5")
+    # Integers are real numbers, and numpy scalars are numbers too.
+    config = small_config(tmp_path, seed=np.int64(7), dt=600,
+                          dp_cutoff=np.float64(3e5), workers=np.int32(2),
+                          percentiles=(np.float64(0.95),))
+    assert config.as_mapping()["dt"] == 600
+
+
 def test_analysis_config_mapping_round_trip(tmp_path):
     config = small_config(tmp_path, tau_grid=TauGridSpec(lo=1500.0, points=12),
                           band=(0.05, 0.95), workers=3)

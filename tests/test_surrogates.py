@@ -267,3 +267,24 @@ def test_surrogate_config_validation():
         SurrogateConfig(seed=-1, n_surrogates=10)
     with pytest.raises(ValueError, match="64-bit"):
         surrogate_rng(2 ** 64)
+
+
+def test_sorted_uniform_matches_reference_with_tie():
+    # 40 draws on a span of 1e-12 at 1.0 hold a tie on seed 21's first
+    # draw; the redraw must come from the same stream as before.
+    def reference(rng, n, start, span):
+        times = np.sort(start + rng.random(n) * span)
+        draws = 1
+        while np.any(np.diff(times) == 0):
+            times = np.sort(start + rng.random(n) * span)
+            draws += 1
+        return times, draws
+
+    expected, draws = reference(surrogate_rng(21), 40, 1.0, 1e-12)
+    assert draws > 1
+    ours = surrogates._sorted_uniform(surrogate_rng(21), 40, 1.0, 1e-12)
+    assert ours.tobytes() == expected.tobytes()
+    for seed in range(5):
+        expected, _ = reference(surrogate_rng(seed), 1000, 3.0, 7.0e6)
+        ours = surrogates._sorted_uniform(surrogate_rng(seed), 1000, 3.0, 7.0e6)
+        assert ours.tobytes() == expected.tobytes()

@@ -1,10 +1,13 @@
 """Tests for the synthetic point-process generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from runclust import SynthSpec, ThresholdSpec, extract_runs, generate, \
-    generate_series
+    generate_series, surrogate_rng
+from runclust import synth
 from runclust.allan import af_curve, fit_power_law
 from runclust.stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
@@ -169,3 +172,105 @@ def test_downstream_mark_law_matches_geometric():
             continue
         se = np.sqrt(p * (1 - p) / n)
         assert abs(count / n - p) <= 3 * se
+
+
+def test_table_marks_match_generator_geometric():
+    # The table sampler must give Generator.geometric's marks bit for
+    # bit and leave the generator where it would, on both sides of
+    # numpy's search/inversion cut-off at p = 1/3.
+    ps = (np.nextafter(1 / 3, 0), 1 / 3, 0.35, 0.5, 0.9, 1.0)
+    sizes = (0, 1, 3 * synth._MARK_CHUNK + 77)
+    for p in ps:
+        for seed in (0, 1, 7, 123):
+            for n in sizes:
+                ours, numpys = surrogate_rng(seed, 4), surrogate_rng(seed, 4)
+                marks = synth._geometric_marks(ours, p, n)
+                expected = numpys.geometric(p, size=n)
+                assert marks.dtype == expected.dtype
+                assert np.array_equal(marks, expected), (p, seed, n)
+                assert ours.random() == numpys.random(), (p, seed, n)
+
+
+class _Replay:
+    """Stands in for a generator whose ``random`` returns given doubles."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self, out):
+        out[:] = self.values[self.at:self.at + out.size]
+        self.at += out.size
+
+
+def test_table_marks_follow_search_rule_at_every_edge():
+    # numpy's search sampler returns the smallest X with U <= S_X.  Feed
+    # the table U values on, just below and just above every S and every
+    # bucket edge, where a random stream almost never lands.  Above the
+    # last S, where the sums stop growing below 1, numpy's loop never
+    # ends, so those U are left out.
+    def search(u, p):
+        x, prod, total, q = 1, p, p, 1.0 - p
+        while u > total:
+            prod *= q
+            total += prod
+            x += 1
+        return x
+
+    edges = np.arange(synth._MARK_BUCKETS + 1) / synth._MARK_BUCKETS
+    for p in (1 / 3, 0.35, 0.5, 0.9, 1.0):
+        sums = synth._geometric_table(p)[0] / synth._MARK_BUCKETS
+        u = np.concatenate([sums, np.nextafter(sums, 0), np.nextafter(sums, 1),
+                            edges, np.nextafter(edges, 0)])
+        u = np.unique(u[(u >= 0) & (u <= sums[-1])])
+        marks = synth._geometric_marks(_Replay(u), p, u.size)
+        assert marks.tolist() == [search(v, p) for v in u], p
+
+
+def _fractal_renewal_times_reference(rng, gamma, min_gap, window):
+    # The loop as it was before the generator drew its chunks in place;
+    # also returns how many chunks it drew.
+    mean_gap = gamma / (gamma - 1.0) * min_gap if gamma > 1 else 10.0 * min_gap
+    chunk = int(max(1024, min(2 ** 22, 1.2 * window / mean_gap + 16)))
+    parts = []
+    t = 0.0
+    while t < window:
+        gaps = min_gap * (1.0 - rng.random(chunk)) ** (-1.0 / gamma)
+        cumulative = t + np.cumsum(gaps)
+        parts.append(cumulative)
+        t = float(cumulative[-1])
+    times = np.concatenate(parts)
+    return times[times < window], len(parts)
+
+
+def test_fractal_renewal_times_match_reference():
+    chunks = []
+    for window in (1e3, 1e4, 1e5):
+        for gamma in (0.8, 1.2, 1.6, 2.5):
+            for seed, min_gap in ((0, 1.0), (1, 1.0), (2, 0.3)):
+                case = (window, gamma, seed, min_gap)
+                ours = synth._fractal_renewal_times(
+                    surrogate_rng(seed), gamma, min_gap, window)
+                expected, n_chunks = _fractal_renewal_times_reference(
+                    surrogate_rng(seed), gamma, min_gap, window)
+                assert ours.tobytes() == expected.tobytes(), case
+                chunks.append(n_chunks)
+    assert max(chunks) > 1
+
+
+def test_generate_digest_unchanged():
+    # SHA-256 of every generated process's times then marks, pinned
+    # when the generator began to draw in place.
+    digest = hashlib.sha256()
+    for seed in range(6):
+        specs = [SynthSpec.fractal_renewal(alpha, window, seed)
+                 for alpha in (0.2, 0.5, 0.8) for window in (1e4, 1e6, 5e6)]
+        for q in (0.2, 1 / 3, 0.5, 0.9, 1.0):
+            specs += [SynthSpec.poisson(0.01, 1e6, seed, mark_q=q),
+                      SynthSpec.bursty(1e-4, 0.1, 5.0, 1e6, seed, mark_q=q),
+                      SynthSpec.periodic(1000.0, 1e6, seed, mark_q=q)]
+        for spec in specs:
+            pp = generate(spec)
+            digest.update(pp.times.tobytes())
+            digest.update(pp.lengths.tobytes())
+    assert digest.hexdigest() == ("b9f39e2355bc88599cd046c0623615c2"
+                                  "07b25be70aade2119eec82989012b5f7")

@@ -15,7 +15,7 @@ scatter is large for mid gamma (single giant gaps dominate whole
 decades), so the median uses many seeds and the final table is a cubic
 least-squares smooth of the medians, tabulated back on the gamma grid.
 
-Run from the repo root (1 min 48 s on a 2-CPU Xeon with numpy 2.4):
+Run from the repo root (1 min 15 s on a 2-CPU Xeon with numpy 2.4):
 
     python3 tools/calibrate_fractal_renewal.py \
         --out src/runclust/data/fractal_renewal_calibration.json
