@@ -126,35 +126,48 @@ def allan_factor(cp: CountingProcess) -> float:
 
 
 def _dense_sums(rel: np.ndarray, tau: float, n_windows: int,
-                row_ids: np.ndarray, row_starts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+                row_bounds: np.ndarray, quotient: np.ndarray, k: np.ndarray,
+                new: np.ndarray) -> tuple[np.ndarray, tuple]:
     # Dense regime for a block of rows at one tau; returns the per-row
-    # integers that _af_grid finishes.  Every event gets its window
-    # index; events past the last complete window are clamped to a
-    # sentinel window W, and row r's windows are keyed from base
-    # r*(W+2).  The flat keys then ascend through the whole block, and no
-    # two rows' windows are adjacent, so one run-length pass sums
-    # c^2 - c[i]*c[i+1] over the occupied windows of every row, the
-    # sentinel included; int64 sums are exact.  A search of the flat keys
-    # gives each row's events below windows 1, W-1 and W.
-    base = row_ids * (n_windows + 2)
-    k = (rel / tau).astype(np.int64)
-    np.minimum(k, n_windows, out=k)
-    k += base[:, None]
-    k = k.ravel()
-    new = np.empty(k.size + 1, dtype=bool)
-    new[0] = new[-1] = True
-    np.not_equal(k[1:], k[:-1], out=new[1:-1])
+    # integers that _af_grid finishes.  ``quotient``, ``k`` and ``new``
+    # are the caller's buffers, written in place.  Every event gets its
+    # window index in ``k``; an index past the last complete window
+    # belongs to a sentinel window W.  Rounding can carry it to W+1, so
+    # indices are clamped to W when some row's last one (rows are
+    # sorted) exceeds it.  A run break is forced at every row start and
+    # a row's first run is never adjacent to the run before it, so one
+    # run-length pass over the flattened block sums c^2 - c[i]*c[i+1]
+    # over the occupied windows of every row, the sentinel included;
+    # int64 sums are exact.  A row's first run holds its events in
+    # window 0, if any; its last run those in the sentinel or in window
+    # W-1, and the run before a sentinel those in W-1.  Returns the sums
+    # and, per row, the events in window 0, in window W-1 and past it.
+    np.divide(rel, tau, out=quotient)
+    np.copyto(k, quotient, casting="unsafe")
+    if k[:, -1].max() > n_windows:
+        np.minimum(k, n_windows, out=k)
+    flat = k.reshape(-1)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+    new[row_bounds] = True
     bounds = np.flatnonzero(new)
     counts = bounds[1:] - bounds[:-1]
-    keys = k[bounds[:-1]]
+    keys = flat[bounds[:-1]]
+    ends = np.searchsorted(bounds, row_bounds)
+    first, last = ends[:-1], ends[1:] - 1
+    adjacent = keys[1:] - keys[:-1] == 1
+    adjacent[first[1:] - 1] = False
+    products = counts[:-1] * counts[1:]
+    products *= adjacent
     terms = counts * counts
-    adjacent = np.flatnonzero(keys[1:] - keys[:-1] == 1)
-    terms[adjacent] -= counts[adjacent] * counts[adjacent + 1]
-    runs = np.add.reduceat(terms, np.searchsorted(bounds, row_starts))
-    below = np.searchsorted(k, np.add.outer((1, n_windows - 1, n_windows),
-                                            base))
-    return runs, below - row_starts
+    terms[:-1] -= products
+    runs = np.add.reduceat(terms, first)
+
+    past = keys[last] == n_windows
+    before = last - past
+    return runs, (counts[first] * (keys[first] == 0),
+                  counts[before] * ((keys[before] == n_windows - 1)
+                                    & (before >= first)),
+                  counts[last] * past)
 
 
 def _window_edges(rel: np.ndarray, tau: float, n_windows: int) -> np.ndarray:
@@ -197,7 +210,9 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
 
     - *dense*: every event gets its window index, and one run-length
       pass over the whole block sums the occupied windows of every row
-      (``_dense_sums``);
+      (``_dense_sums``); its quotient, window-index and run-break
+      buffers, 17 bytes per event, are allocated once per call and
+      written in place at every tau;
     - *edges*: the W+1 window boundaries come from ``searchsorted``,
       corrected to the same per-event rule (``_window_edges``), and the
       counts are their differences, row by row.
@@ -216,65 +231,71 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     surrogate sweep hands over max(1, ``_BLOCK_EVENTS`` // n) rows at a
     time.  Seconds for one ``cell_bands`` sweep (draws, Cv, Lv and the
     factor) of 1000 surrogates × 60 taus on a 10-year station grid (1200
-    s to a tenth of the span), same machine, by block size B; "1 row"
-    calls once per row, and the first column is the sweep before blocks:
+    s to a tenth of the span), same machine, by block size B, the best
+    of three fresh processes per cell of the table; the first column is
+    the kernel that allocated its temporaries afresh at every tau, at
+    16k:
 
     ======  ======  =====  =====  =====  =====  =====
-    n       before  1 row  8k     16k    32k    64k
+    n       before  8k     16k    24k    32k    64k
     ======  ======  =====  =====  =====  =====  =====
-    30      0.92    1.20   0.04   0.04   0.05   0.05
-    100     0.95    1.22   0.08   0.08   0.08   0.12
-    300     1.10    1.32   0.19   0.16   0.14   0.29
-    1,000   1.39    1.60   0.53   0.44   0.40   0.83
-    2,000   1.76    1.92   0.95   0.83   0.73   1.37
-    4,500   2.56    2.61   2.52   1.68   1.33   2.66
-    8,000   3.58    3.27   3.32   2.84   2.63   4.05
+    30      0.05    0.04   0.04   0.04   0.05   0.04
+    100     0.09    0.09   0.09   0.09   0.12   0.11
+    300     0.21    0.21   0.17   0.16   0.28   0.32
+    1,000   0.56    0.58   0.47   0.47   0.76   0.84
+    2,000   1.00    1.07   0.85   0.85   1.31   1.53
+    4,500   2.28    2.82   1.80   1.75   2.57   3.01
+    8,000   3.60    3.96   3.21   3.24   2.98   3.29
     ======  ======  =====  =====  =====  =====  =====
 
-    Every temporary of a 64k block is 512 kB.  glibc serves allocations
-    of 128 KiB or more from fresh mappings, and its heap trimming kept
-    handing them back, so each one page-faults again: the 64k column took
-    up to 1.2 million minor faults per sweep.  The 32k column took at
-    most 1,374 in this run but 0.4 to 1.3 million from 1,000 events up
-    in an earlier one, where it lost to 16k (0.93 against 0.56 s at
-    1,000 events).  B is 16,000, which
-    keeps every int64 temporary under 128 KiB, so the sweep never pays
-    that price.
+    Holding the buffers does not make larger blocks pay: the run-length
+    pass still allocates its run-sized temporaries (run bounds, counts,
+    keys, products, terms) at every tau, up to 8 bytes per event of the
+    block.  glibc serves allocations of 128 KiB or more from fresh
+    mappings, and its heap trimming keeps handing them back, so each
+    one page-faults again.  Minor faults per sweep
+    (``getrusage(RUSAGE_SELF).ru_minflt``) were at most 1,750 at 16k,
+    and up to 64,000 at 24k, 644,000 at 32k and 1.03 million at 64k.
+    B is 16,000, which keeps every int64 temporary under 128 KiB, so
+    the sweep never pays that price.
     """
     rows, n = times.shape
     runs = np.zeros((rows, taus.size), dtype=np.int64)
-    below = np.zeros((3, rows, taus.size), dtype=np.int64)
+    tails = np.zeros((3, rows, taus.size), dtype=np.int64)
     n_windows = np.array([int(duration // tau) for tau in taus], dtype=np.int64)
+    edge = (n >= _EDGE_MIN_EVENTS) & (n > _EDGE_EVENTS_PER_WINDOW * n_windows)
+    live = (n_windows >= 2) & (n >= 2)
     rel = times - window_start
-    row_ids = np.arange(rows)
-    row_starts = row_ids * n
-    for i, tau in enumerate(taus):
-        w = int(n_windows[i])
-        if w < 2 or n < 2:
-            continue
-        if n >= _EDGE_MIN_EVENTS and n > _EDGE_EVENTS_PER_WINDOW * w:
+    if np.any(live & ~edge):
+        # The dense pass's buffers, 17 bytes per event, held for the
+        # block: the quotients, the window indices and the run breaks.
+        buffers = (np.empty((rows, n)), np.empty((rows, n), dtype=np.int64),
+                   np.empty(rows * n + 1, dtype=bool))
+        row_bounds = np.arange(rows + 1) * n
+    for i in np.flatnonzero(live):
+        tau, w = taus[i], int(n_windows[i])
+        if edge[i]:
             for r in range(rows):
                 edges = _window_edges(rel[r], tau, w)
                 c = np.diff(edges, append=n)
                 runs[r, i] = np.dot(c, c) - np.dot(c[:-1], c[1:])
-                below[:, r, i] = edges[[1, w - 1, w]]
+                tails[:, r, i] = edges[1], edges[w] - edges[w - 1], n - edges[w]
         else:
-            runs[:, i], below[:, :, i] = _dense_sums(rel, tau, w, row_ids,
-                                                     row_starts)
+            runs[:, i], tails[:, :, i] = _dense_sums(rel, tau, w, row_bounds,
+                                                     *buffers)
     # Both regimes give, per row, the sum of c^2 - c[i]*c[i+1] over the
     # windows and the sentinel (the t events past the last window), and
-    # the events below windows 1, W-1 and W.  Then
+    # the counts c[0] and c[W-1].  Then
     #   sum (c[i+1]-c[i])^2 == 2*(sum c^2 - sum c[i]*c[i+1]) - c[0]^2 - c[W-1]^2
     # once the sentinel's square and its product with window W-1 are
-    # taken out again.  A point with fewer than two events (or windows)
-    # is 0/0 or x/0 in the float expression and becomes NaN.
-    c_first, m = below[0], below[2]
-    c_last = m - below[1]
-    t = n - m
+    # taken out again.  A point with fewer than two events in the
+    # windows, or fewer than two windows, is NaN.
+    c_first, c_last, t = tails
+    m = n - t
     num = 2 * (runs - t * (t - c_last)) - c_first * c_first - c_last * c_last
     with np.errstate(divide="ignore", invalid="ignore"):
         af = (num / (n_windows - 1)) / (2.0 * m / n_windows)
-    af[m < 2] = np.nan
+    af[(m < 2) | ~live] = np.nan
     return af
 
 
@@ -331,9 +352,17 @@ def af_curve(pp: MarkedPointProcess, taus: np.ndarray) -> AfCurve:
     they are never zero-filled.
     """
     taus = _tau_grid(taus, pp.dt)
-    af = _af_grid(pp.times[None, :], pp.window_start, pp.duration, taus)[0]
+    return _curve_with_reasons(
+        taus, _af_grid(pp.times[None, :], pp.window_start, pp.duration, taus)[0],
+        pp.duration)
+
+
+def _curve_with_reasons(taus: np.ndarray, af: np.ndarray,
+                        duration: float) -> AfCurve:
+    # The curve of one process on a window of ``duration`` seconds from
+    # its values on a checked grid, with the reason for each NaN.
     reasons = {float(tau): "fewer than two complete counting windows"
-               if pp.duration // tau < 2
+               if duration // tau < 2
                else "fewer than two events in complete windows"
                for tau in taus[np.isnan(af)]}
     return AfCurve(taus=taus, af=af, reasons=reasons)

@@ -18,7 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .allan import DP_CUTOFF, af_curve, departure, fit_power_law
+from .allan import DP_CUTOFF, _curve_with_reasons, af_curve, departure, \
+    fit_power_law
 from .ingest import parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
     _csv_text, _write_json
@@ -186,7 +187,11 @@ def _cmd_af(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    curve = af_curve(pp, taus)
+    if surrogates is None:
+        curve = af_curve(pp, taus)
+    else:
+        band = cell_bands(pp, taus, surrogates)[2]
+        curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
     if pp.n_events >= 3:
         intervals = interevent_times(pp)
         print(f"n_events={pp.n_events} "
@@ -198,7 +203,6 @@ def _cmd_af(parser: _Parser, args) -> int:
     header = ["tau_seconds", "af"]
     columns = [taus.tolist(), curve.af.tolist()]
     if surrogates is not None:
-        band = cell_bands(pp, taus, surrogates)[2]
         dp = dict(departure(curve, band, args.dp_cutoff))
         header += ["band_lo", "band_hi", "dp"]
         columns += [band.lo.tolist(), band.hi.tolist(),

@@ -28,15 +28,16 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .allan import DP_CUTOFF, af_curve, default_fit_range, departure, fit_power_law
+from .allan import DP_CUTOFF, _curve_with_reasons, departure, fit_power_law
 from .ingest import SampledSeries, StationMeta, parse_series, parse_station_meta
-from .runs import MarkedPointProcess, _atomic_write_text, compute_threshold, \
+from .runs import MarkedPointProcess, _atomic_write_text, _thresholds, \
     extract_runs, filter_by_min_length, write_events
 from .stats import RunLengthDensity, average_density, interevent_times, \
     mean_interevent_time, run_length_density
@@ -284,7 +285,7 @@ def _cell_payload(task: dict) -> dict:
             pp, taus, SurrogateConfig(seed=task["seed_cell"],
                                       n_surrogates=config.n_surrogates,
                                       band=config.band))
-        curve = af_curve(pp, taus)
+        curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
         dp = departure(curve, band, config.dp_cutoff)
 
         fit_payload = None
@@ -425,8 +426,9 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     processes: dict[float, MarkedPointProcess] = {}
     densities: dict[float, RunLengthDensity] = {}
     tasks = []
-    for pct in sorted(config.percentiles):
-        threshold = compute_threshold(series, pct, min_count=config.threshold_floor)
+    percentiles = sorted(config.percentiles)
+    for pct, threshold in zip(percentiles, _thresholds(
+            series, percentiles, min_count=config.threshold_floor)):
         pp = extract_runs(series, threshold)
         thresholds[pct] = threshold.value
         processes[pct] = pp
@@ -489,12 +491,13 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     """Analyse every station CSV in a directory and build cross products.
 
     Stations without metadata are skipped with a warning, as are
-    stations whose series cannot be parsed or thresholded; remaining
-    stations still run (partial results).  Cross-station products land
-    in ``<output_dir>/cross/``: the averaged run-length density and the
-    threshold-vs-height table per percentile, mean interevent time by
-    height per (percentile, min length), and the departure surface per
-    (percentile, min length).
+    stations whose series cannot be parsed or thresholded, and stations
+    one of whose cells killed its worker process (the stations that
+    remain get a fresh pool); remaining stations still run (partial
+    results).  Cross-station products land in ``<output_dir>/cross/``:
+    the averaged run-length density and the threshold-vs-height table
+    per percentile, mean interevent time by height per (percentile, min
+    length), and the departure surface per (percentile, min length).
     """
     station_dir = Path(station_dir)
     out_root = Path(config.output_dir)
@@ -509,7 +512,8 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     results: dict[str, dict] = {}
     stations_index: list[dict] = []
     warnings: list[str] = []
-    with _cell_pool(config) as executor:
+    with ExitStack() as pools:
+        executor = pools.enter_context(_cell_pool(config))
         for path in series_paths:
             station_id = path.stem
             if station_id not in meta_by_id:
@@ -521,11 +525,16 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
                 series = parse_series(path, station_id=station_id, dt=config.dt)
                 result = run_station(series, meta_by_id[station_id], config,
                                      executor)
-            except ValueError as exc:
+            except (ValueError, BrokenProcessPool) as exc:
                 warnings.append(f"station {station_id}: {exc}")
                 stations_index.append({"station_id": station_id,
                                        "status": "failed",
                                        "message": str(exc)})
+                if isinstance(exc, BrokenProcessPool):
+                    # A broken pool runs nothing more; the stations that
+                    # remain get a fresh one.
+                    executor.shutdown()
+                    executor = pools.enter_context(_cell_pool(config))
                 continue
             results[station_id] = result
             stations_index.append({"station_id": station_id, "status": "ok"})

@@ -163,14 +163,24 @@ def compute_threshold(series: SampledSeries, percentile: float,
     -------
     ThresholdSpec
     """
-    if not 0.0 < percentile < 1.0:
+    return _thresholds(series, (percentile,), min_count)[0]
+
+
+def _thresholds(series: SampledSeries, percentiles, min_count: int = 100
+                ) -> list[ThresholdSpec]:
+    # compute_threshold at each level, in the order given, from one
+    # np.quantile call: one selection pass over the samples serves every
+    # level, each with the bits linear_quantile gives it alone.
+    levels = np.asarray(percentiles, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("percentile must lie in (0, 1)")
     sample = series.non_missing_values()
     if sample.size < min_count:
         raise ValueError(
             f"need at least {min_count} non-missing samples, have {sample.size}")
-    return ThresholdSpec(value=linear_quantile(sample, percentile),
-                         percentile=percentile)
+    values = np.quantile(sample, levels, method="linear").tolist()
+    return [ThresholdSpec(value=value, percentile=percentile)
+            for value, percentile in zip(values, percentiles)]
 
 
 def extract_runs(series: SampledSeries, threshold: ThresholdSpec) -> MarkedPointProcess:

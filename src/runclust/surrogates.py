@@ -10,10 +10,14 @@ band mean clustering, values below mean quasi-periodicity.
 Every band comes from one sweep, :func:`cell_bands`, which evaluates
 Cv, Lv and the Allan factor on blocks of surrogates, one surrogate per
 row, so that the fixed cost of each evaluation is shared by the block.
-The values land in one sample matrix, a column per statistic, and one
-quantile pass over it gives every band edge of the cell: the Cv band,
-the Lv band and the Allan-factor band, always all three (the last with
-empty arrays on an empty tau grid).
+The observed process rides as the first row of the first block, so the
+sweep also gives its Cv, Lv and Allan-factor curve.  The values land in
+one sample matrix, a column per statistic, and one quantile pass over
+its surrogate rows gives every band edge of the cell: the Cv band, the
+Lv band and the Allan-factor band, always all three (the last with
+empty arrays on an empty tau grid).  Each scalar band carries the
+observed value in ``observed``, and the Allan-factor band the observed
+curve, NaN where the factor is undefined, in ``AfBand.observed``.
 
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
@@ -30,8 +34,7 @@ import numpy as np
 
 from .allan import _BLOCK_EVENTS, _af_grid, _tau_grid
 from .runs import MarkedPointProcess
-from .stats import _dispersion_rows, coefficient_of_variation, \
-    interevent_times, local_coefficient_of_variation
+from .stats import _dispersion_rows
 
 __all__ = [
     "AfBand",
@@ -74,26 +77,19 @@ def surrogate_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _sorted_uniform(rng: np.random.Generator, n: int, start: float,
-                    span: float) -> np.ndarray:
-    # ``n`` sorted i.i.d. uniform times on [start, start + span).  Ties have
-    # probability ~n^2/2^53 but would break strict monotonicity; redraw
-    # from the same substream until clean.
+                    span: float, out: np.ndarray | None = None) -> np.ndarray:
+    # ``n`` sorted i.i.d. uniform times on [start, start + span), written
+    # into ``out`` when one is given.  Ties have probability ~n^2/2^53 but
+    # would break strict monotonicity; redraw from the same substream
+    # until clean.
+    times = np.empty(n) if out is None else out
     while True:
-        times = rng.random(n)
+        rng.random(out=times)
         times *= span
         times += start
         times.sort()
         if not np.any(times[1:] == times[:-1]):
             return times
-
-
-def _surrogate_times(pp: MarkedPointProcess, seed: int,
-                     stream: int) -> tuple[np.random.Generator, np.ndarray]:
-    # Sorted uniform event times of surrogate ``stream``, with the
-    # generator left where the times end so marks can be drawn after.
-    rng = surrogate_rng(seed, stream)
-    return rng, _sorted_uniform(rng, pp.n_events, pp.window_start,
-                                pp.window_end - pp.window_start)
 
 
 def poisson_surrogate(pp: MarkedPointProcess, seed: int,
@@ -107,7 +103,9 @@ def poisson_surrogate(pp: MarkedPointProcess, seed: int,
     """
     if pp.n_events < 2:
         raise ValueError("need at least 2 events to build a surrogate")
-    rng, times = _surrogate_times(pp, seed, stream)
+    rng = surrogate_rng(seed, stream)
+    times = _sorted_uniform(rng, pp.n_events, pp.window_start,
+                            pp.window_end - pp.window_start)
     lengths = rng.permutation(pp.lengths)
     return dataclasses.replace(pp, times=times, lengths=lengths, dt=0.0)
 
@@ -137,30 +135,35 @@ def _classify(observed: float, lo: float, hi: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class AfBand:
-    """Per-tau surrogate quantiles of the Allan factor.
+    """Per-tau surrogate quantiles of the Allan factor, with the observed
+    curve.
 
     ``lo``/``hi`` are NaN at grid points where no surrogate produced a
     defined factor; ``n_samples`` counts the defined surrogate values
-    entering each quantile.
+    entering each quantile.  ``observed`` is the observed process's
+    Allan factor at each tau, NaN where it is undefined.
     """
 
     taus: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     n_samples: np.ndarray
+    observed: np.ndarray
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         n_samples = np.asarray(self.n_samples, dtype=np.int64)
-        if not (taus.shape == lo.shape == hi.shape == n_samples.shape):
+        observed = np.asarray(self.observed, dtype=float)
+        if not (taus.shape == lo.shape == hi.shape == n_samples.shape
+                == observed.shape):
             raise ValueError("band arrays must share one shape")
         both = np.isfinite(lo) & np.isfinite(hi)
         if np.any(lo[both] > hi[both]):
             raise ValueError("band lower edge exceeds upper edge")
         for name, arr in (("taus", taus), ("lo", lo), ("hi", hi),
-                          ("n_samples", n_samples)):
+                          ("n_samples", n_samples), ("observed", observed)):
             object.__setattr__(self, name, arr)
 
 
@@ -187,17 +190,24 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
 
     Surrogate i is stream i of the configured seed, with the same times
     as ``poisson_surrogate(pp, config.seed, i)``.  Surrogates are drawn
-    and evaluated in blocks of about ``_BLOCK_EVENTS`` event times, so
-    memory stays bounded however many surrogates are asked for; a
-    surrogate's values do not depend on the block it falls in.  Each
-    surrogate fills one row of a sample matrix: Cv, Lv, then the Allan
-    factor at each tau.  Every band edge is the configured quantile of
-    its column, with the same rank-interpolation estimator used for
-    thresholds, taken for all columns in one pass.  At each tau,
-    surrogates whose Allan factor is undefined contribute no sample
-    rather than a placeholder.  Needs at least 3 events so Cv and Lv
-    are defined on every surrogate; the grid is checked as in
-    :func:`~runclust.allan.af_curve` before any surrogate is drawn.
+    into blocks of about ``_BLOCK_EVENTS`` event times and evaluated a
+    block at a time, so memory stays bounded however many surrogates
+    are asked for; a surrogate's values do not depend on the block it
+    falls in.  The observed process rides as row 0 of the first block,
+    so its Cv, Lv and Allan factor come from the same evaluations, with
+    the same bits as :func:`~runclust.stats.coefficient_of_variation`,
+    :func:`~runclust.stats.local_coefficient_of_variation` and
+    :func:`~runclust.allan.af_curve` give it alone.
+
+    Each process fills one row of a sample matrix: Cv, Lv, then the
+    Allan factor at each tau.  Every band edge is the configured
+    quantile of its column over the surrogate rows, with the same
+    rank-interpolation estimator used for thresholds, taken for all
+    columns in one pass.  At each tau, surrogates whose Allan factor is
+    undefined contribute no sample rather than a placeholder.  Needs at
+    least 3 events so Cv and Lv are defined on every surrogate; the grid
+    is checked as in :func:`~runclust.allan.af_curve` before any
+    surrogate is drawn.
 
     Returns ``(cv_band, lv_band, af_band)``; with an empty ``taus`` the
     Allan-factor band holds empty arrays.
@@ -206,26 +216,28 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
         raise ValueError("need at least 3 events for scalar bands")
     taus = _tau_grid(taus, pp.dt, allow_empty=True)
 
-    n_surrogates = config.n_surrogates
-    samples = np.empty((n_surrogates, 2 + taus.size))
-    rows = max(1, _BLOCK_EVENTS // pp.n_events)
-    for lo in range(0, n_surrogates, rows):
-        hi = min(lo + rows, n_surrogates)
-        block = np.stack([_surrogate_times(pp, config.seed, i)[1]
-                          for i in range(lo, hi)])
+    n, total = pp.n_events, 1 + config.n_surrogates
+    span = pp.window_end - pp.window_start
+    samples = np.empty((total, 2 + taus.size))
+    rows = min(max(1, _BLOCK_EVENTS // n), total)
+    block = np.empty((rows, n))
+    block[0] = pp.times  # the first block's row 0; later blocks draw over it
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        part = block[:hi - lo]
+        for i in range(max(lo, 1), hi):
+            _sorted_uniform(surrogate_rng(config.seed, i - 1), n,
+                            pp.window_start, span, out=part[i - lo])
         samples[lo:hi, 0], samples[lo:hi, 1] = _dispersion_rows(
-            np.diff(block, axis=1))
-        samples[lo:hi, 2:] = _af_grid(block, pp.window_start, pp.duration, taus)
-    lower, upper, n_samples = _band_edges(samples, config.band)
+            np.diff(part, axis=1))
+        samples[lo:hi, 2:] = _af_grid(part, pp.window_start, pp.duration, taus)
+    lower, upper, n_samples = _band_edges(samples[1:], config.band)
 
-    observed = interevent_times(pp)
     cv_band, lv_band = (
         ScalarBand(statistic=name, observed=value, lo=lo, hi=hi,
                    classification=_classify(value, lo, hi))
-        for name, value, lo, hi in zip(
-            ("cv", "lv"),
-            (coefficient_of_variation(observed),
-             local_coefficient_of_variation(observed)),
-            lower[:2].tolist(), upper[:2].tolist()))
+        for name, value, lo, hi in zip(("cv", "lv"), samples[0, :2].tolist(),
+                                       lower[:2].tolist(), upper[:2].tolist()))
     return cv_band, lv_band, AfBand(taus=taus, lo=lower[2:], hi=upper[2:],
-                                    n_samples=n_samples[2:])
+                                    n_samples=n_samples[2:],
+                                    observed=samples[0, 2:].copy())

@@ -167,6 +167,19 @@ def _reference_af(times, window, tau, start=0.0):
     return allan_factor(cp) if cp.counts.sum() >= 2 else np.nan
 
 
+def _assert_rows_exact(block, start, window, taus):
+    # Every row of the block gets the bits of the two-step definition on
+    # that row alone, and of its own one-row block.
+    af = allan._af_grid(block, start, window, taus)
+    assert af.shape == (block.shape[0], taus.size)
+    for r, row in enumerate(block):
+        expected = [_reference_af(row, window, tau, start) for tau in taus]
+        assert np.array_equal(af[r], expected, equal_nan=True), r
+        alone = allan._af_grid(block[r:r + 1], start, window, taus)
+        assert np.array_equal(alone[0], af[r], equal_nan=True), r
+    return af
+
+
 def test_af_grid_block_rows_exact():
     # Every row of a block is one process on the shared window; each must
     # get the bits of the two-step definition on that row alone, and the
@@ -186,40 +199,56 @@ def test_af_grid_block_rows_exact():
     rows += [np.sort(rng.random(6)) * window for _ in range(6)]
     block = np.array(rows, dtype=float)
     taus = np.array([0.25, 5.0, 7.0, 10.0, 15.0, 30.0, 45.0, 50.0, 60.0])
-    af = allan._af_grid(block, 0.0, window, taus)
-    assert af.shape == (block.shape[0], taus.size)
-    for r, row in enumerate(block):
-        expected = [_reference_af(row, window, tau) for tau in taus]
-        assert np.array_equal(af[r], expected, equal_nan=True)
-        alone = allan._af_grid(block[r:r + 1], 0.0, window, taus)
-        assert np.array_equal(alone[0], af[r], equal_nan=True)
+    af = _assert_rows_exact(block, 0.0, window, taus)
     # Fewer than two events inside the windows at 15, 30 and 45 s; at
     # 60 s no row has two complete windows.
     assert np.isnan(af[:2]).sum(axis=1).tolist() == [4, 4]
     assert np.isnan(af[:, -1]).all() and not np.isnan(af[2:, :-1]).any()
 
+    # Rows whose neighbours would merge with them, or look adjacent to
+    # them, without a run break at every row start and without masking
+    # adjacency across it: a row all in window 0 followed by rows that
+    # start in window 0 and in window 1 (at tau 5), and a row ending in
+    # window W-1 followed by one entirely past the last window (at tau
+    # 7: W = 14, window 13 is [91, 98)), in both orders.
+    cross = np.array([
+        [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],          # all in window 0 from tau 5
+        [0.1, 3.0, 20.0, 41.0, 62.0, 83.0],      # starts in window 0
+        [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+        [7.5, 20.0, 33.0, 47.0, 61.0, 88.0],     # starts in window 1 at tau 5
+        [0.5, 50.0, 92.0, 93.0, 94.0, 95.0],     # ends in window 13 at tau 7
+        [98.0, 98.5, 99.0, 99.2, 99.5, 99.9],    # past the last window at 7
+        [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+        [98.0, 98.5, 99.0, 99.2, 99.5, 99.9],
+    ])
+    for ordered in (cross, cross[::-1]):
+        af = _assert_rows_exact(ordered, 0.0, window, taus)
+        # Every row is defined at tau 5; at tau 7 only the rows past the
+        # last window are not.
+        assert not np.isnan(af[:, 1]).any()
+        assert np.isnan(af[:, 2]).sum() == 2
+
     # Rounding can put an event past the last window at index W+1, not
     # W: 3.0 // 0.1 is 29, yet (t - 0.7)/0.1 truncates to 30 for the last
-    # event of the first row.  The clamp keeps it off the next row.
+    # event of the first row.  The clamp keeps it in the sentinel window.
+    # Checked in a block of two rows and in a larger block, where the
+    # rounding row sits between rows that start in window 0.
     start, window = 0.7, 3.0
     odd = np.array([[0.7, 1.0, 2.0, 3.65, 3.69, np.nextafter(3.7, 0.0)],
                     [0.7, 0.75, 0.85, 1.5, 2.0, 3.0]])
     taus = np.array([0.1, 0.2])
     assert int((odd[0, -1] - start) / taus[0]) == window // taus[0] + 1
-    af = allan._af_grid(odd, start, window, taus)
-    for r, row in enumerate(odd):
-        expected = [_reference_af(row, window, tau, start) for tau in taus]
-        assert np.array_equal(af[r], expected)
+    for sized in (odd, np.vstack([odd[1], odd, odd[::-1]])):
+        af = _assert_rows_exact(sized, start, window, taus)
+        assert not np.isnan(af).any()
 
     # Rows large enough for the edge regime are counted row by row.
     big = np.sort(rng.random((2, allan._EDGE_MIN_EVENTS)) * 1e6, axis=1)
     big[1, -50:] = np.sort(1e6 - rng.random(50) * 999.0)
     taus = np.array([1e4, 3e4, 4e5])
-    af = allan._af_grid(big, 0.0, 1e6, taus)
-    for r, row in enumerate(big):
-        assert row.size > allan._EDGE_EVENTS_PER_WINDOW * (1e6 // taus[0])
-        expected = [_reference_af(row, 1e6, tau) for tau in taus]
-        assert np.array_equal(af[r], expected)
+    assert all(big.shape[1] > allan._EDGE_EVENTS_PER_WINDOW * (1e6 // tau)
+               for tau in taus)
+    _assert_rows_exact(big, 0.0, 1e6, taus)
 
 
 def test_af_curve_undefined_points():
@@ -349,7 +378,8 @@ def _band_on(taus, hi):
     taus = np.asarray(taus, dtype=float)
     hi = np.asarray(hi, dtype=float)
     return AfBand(taus=taus, lo=np.zeros(taus.size), hi=hi,
-                  n_samples=np.full(taus.size, 10))
+                  n_samples=np.full(taus.size, 10),
+                  observed=np.full(taus.size, np.nan))
 
 
 def test_departure():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from runclust import pipeline
 from runclust.cli import _ANALYSIS_FLAGS, main
 from runclust.ingest import parse_series, write_series
 from runclust.pipeline import AnalysisConfig
@@ -566,6 +567,48 @@ def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
     assert "0 < lo < hi < 1" in capsys.readouterr().err
     assert not (out / "batch.json").exists()
     assert not out.exists()
+
+
+class _ExitOnUnpickle:
+    # A pool worker that unpickles this ends its process at once.
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+def test_batch_dead_worker_fails_its_station_and_exits_3(tmp_path, capsys,
+                                                         monkeypatch):
+    # Every cell of station "beta" kills the worker that receives it.
+    filter_by_min_length = pipeline.filter_by_min_length
+    monkeypatch.setattr(
+        pipeline, "filter_by_min_length",
+        lambda pp, lm: _ExitOnUnpickle() if pp.station_id == "beta"
+        else filter_by_min_length(pp, lm))
+    stations = tmp_path / "stations"
+    stations.mkdir()
+    for seed, name in enumerate(("alpha", "beta", "gamma")):
+        render_station(stations / f"{name}.csv", seed=seed + 2,
+                       phase=600.0 * seed)
+    meta = tmp_path / "meta.csv"
+    meta.write_text("station_id,height\nalpha,640\nbeta,900\ngamma,1200\n")
+    out = tmp_path / "out"
+    code = call(["batch", str(stations), str(meta), "--out", str(out),
+                 "--seed", "11", "--percentiles", "0.95",
+                 "--min-run-lengths", "1", "2", "--tau-points", "10",
+                 "--n-surrogates", "16", "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "station beta: A process in the process pool" in err
+    summary = json.loads((out / "batch.json").read_text())
+    statuses = {s["station_id"]: s["status"] for s in summary["stations"]}
+    assert statuses == {"alpha": "ok", "beta": "failed", "gamma": "ok"}
+    assert summary["partial"] is True
+    assert (summary["n_cells"], summary["n_cells_ok"]) == (4, 4)
+    # The station after the dead worker ran on a fresh pool, and the cross
+    # products cover the stations that finished.
+    assert (out / "gamma" / "summary.json").is_file()
+    thresholds = (out / "cross" / "thresholds_vs_height.csv").read_text()
+    assert [row.split(",")[0] for row in thresholds.splitlines()[1:]] == [
+        "alpha", "gamma"]
 
 
 # A non-default value for every config key: the flag's argv words and

@@ -87,6 +87,33 @@ def test_compute_threshold_errors():
         compute_threshold(series, 0.0)
 
 
+def test_thresholds_one_call_matches_each_level():
+    # One quantile call serves every level with the bits linear_quantile
+    # gives that level alone, in the order the levels are given.
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        n = int(rng.integers(100, 5000))
+        values = np.exp(rng.normal(size=n)).round(int(rng.integers(0, 4)))
+        missing = rng.random(n) < 0.1
+        series = make_series(values, missing)
+        levels = rng.random(int(rng.integers(1, 6))) * 0.98 + 0.01
+        if trial == 0:
+            levels = np.array([0.95, 0.975, 0.99])
+        specs = runs._thresholds(series, levels.tolist(), min_count=10)
+        sample = values[~missing]
+        assert [s.percentile for s in specs] == levels.tolist()
+        for spec, p in zip(specs, levels):
+            assert spec.value == linear_quantile(sample, p)
+            assert spec == compute_threshold(series, p, min_count=10)
+
+    short = make_series(np.arange(1.0, 51.0))
+    with pytest.raises(ValueError) as info:
+        runs._thresholds(short, [0.95, 0.99])
+    assert str(info.value) == "need at least 100 non-missing samples, have 50"
+    with pytest.raises(ValueError, match="percentile"):
+        runs._thresholds(short, [0.5, float("nan")], min_count=10)
+
+
 def test_extract_runs_hand_scan():
     series = make_series([1, 5, 6, 2, 7, 1])
     pp = extract_runs(series, ThresholdSpec(value=4.0))

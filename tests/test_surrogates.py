@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from runclust import allan, surrogates
-from runclust import MarkedPointProcess, SurrogateConfig, allan_factor, \
-    cell_bands, counting_process, linear_quantile, poisson_surrogate, \
-    surrogate_rng
+from runclust import MarkedPointProcess, SurrogateConfig, af_curve, \
+    allan_factor, cell_bands, counting_process, linear_quantile, \
+    poisson_surrogate, surrogate_rng
 from runclust.stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
 from runclust.synth import SynthSpec, generate
@@ -175,6 +175,30 @@ def test_cell_bands_empty_grid_gives_empty_af_band():
         assert getattr(af_band, name).shape == (0,)
     banded = cell_bands(pp, np.geomspace(1e4, 1e5, 4), config)
     assert (cv_band, lv_band) == banded[:2]
+
+
+def test_cell_bands_observed_row_matches_curve():
+    # The observed process rides as row 0 of the sweep: its Allan factor
+    # must be af_curve's bit for bit, NaNs included, and its Cv and Lv
+    # those of the one-process functions, in the dense regime and in the
+    # edge regime.  The last tau leaves fewer than two counting windows.
+    dense = make_pp(n=300)
+    edge = make_pp(seed=89, n=allan._EDGE_MIN_EVENTS + 7)
+    taus = np.concatenate([np.geomspace(50.0, 4e5, 9), [6e5]])
+    assert edge.n_events > allan._EDGE_EVENTS_PER_WINDOW * (1e6 // taus[-2])
+    for pp in (dense, edge):
+        cv_band, lv_band, band = cell_bands(
+            pp, taus, SurrogateConfig(seed=5, n_surrogates=6))
+        expected = af_curve(pp, taus).af
+        assert np.isnan(expected[-1]) and not np.isnan(expected[:-1]).any()
+        assert band.observed.tobytes() == expected.tobytes()
+        intervals = interevent_times(pp)
+        assert cv_band.observed == coefficient_of_variation(intervals)
+        assert lv_band.observed == local_coefficient_of_variation(intervals)
+
+    # An empty grid has no observed values.
+    band = cell_bands(dense, NO_TAUS, SurrogateConfig(seed=5, n_surrogates=6))[2]
+    assert band.observed.shape == (0,)
 
 
 def test_cell_bands_golden():
