@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .allan import DP_CUTOFF, _curve_with_reasons, af_curve, departure, \
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError
         print(f"runclust: data error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # a cell ended its worker process
+        print(f"runclust: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

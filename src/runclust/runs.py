@@ -39,8 +39,11 @@ def linear_quantile(values: np.ndarray, p: float) -> float:
 
     The quantile sits at one-based rank ``p*(n-1)+1``; fractional ranks
     interpolate linearly between the two adjacent order statistics.
-    This is numpy's default ``method="linear"``, pinned here so every
-    band and threshold in the package uses the same estimator.
+    This is numpy's ``method="linear"``.  No code in the package calls
+    this function: the station thresholds (``_thresholds``) and the
+    surrogate band edges (``surrogates._band_edges``) pass the same
+    method to ``np.quantile`` themselves, for many levels or columns in
+    one call, and each of their values equals this one-level form's.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:

@@ -611,6 +611,27 @@ def test_batch_dead_worker_fails_its_station_and_exits_3(tmp_path, capsys,
         "alpha", "gamma"]
 
 
+def test_analyze_dead_worker_exits_3_without_traceback(tmp_path, capsys,
+                                                     monkeypatch):
+    # Every lm 2 cell kills the worker that receives it.
+    filter_by_min_length = pipeline.filter_by_min_length
+    monkeypatch.setattr(
+        pipeline, "filter_by_min_length",
+        lambda pp, lm: _ExitOnUnpickle() if lm == 2
+        else filter_by_min_length(pp, lm))
+    station = tmp_path / "stn_a.csv"
+    render_station(station)
+    code = call(["analyze", str(station), "--out", str(tmp_path / "out"),
+                 "--seed", "11", "--percentiles", "0.95",
+                 "--min-run-lengths", "1", "2", "--tau-points", "10",
+                 "--n-surrogates", "16", "--workers", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("runclust: A process in the process pool")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # A non-default value for every config key: the flag's argv words and
 # the value the effective configuration then echoes.
 FLAG_VALUES = {

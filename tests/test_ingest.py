@@ -214,6 +214,13 @@ def test_parse_station_meta_errors(tmp_path):
     with pytest.raises(ParseError, match="malformed height"):
         parse_station_meta(bad_height)
 
+    for rows, line, height in (("A,nan\nB,1\n", 2, "nan"), ("A,1\nB,inf\n", 3, "inf")):
+        non_finite = _write(tmp_path / "e.csv", "station_id,height\n" + rows)
+        with pytest.raises(ParseError, match=f"non-finite height '{height}'") as info:
+            parse_station_meta(non_finite)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"{non_finite}, line {line}: ")
+
     bad_header = _write(tmp_path / "c.csv", "id,elevation\nWYN,422\n")
     with pytest.raises(ParseError, match="expected header"):
         parse_station_meta(bad_header)
@@ -492,6 +499,8 @@ def test_parse_series_canonical_stamps_decoded_exactly(tmp_path):
 
 
 def test_parse_series_memory_bounded(tmp_path):
+    # The block route reads the canonical file; the same rows with +00:00
+    # stamps or with quoted values go through the row loop.
     n = 52_560
     rng = np.random.default_rng(3)
     values = rng.random(n) * 20.0
@@ -499,14 +508,22 @@ def test_parse_series_memory_bounded(tmp_path):
     values[missing] = np.nan
     path = tmp_path / "s.csv"
     write_series(SampledSeries("S1", _T0, 600.0, values, missing), path)
-    tracemalloc.start()
-    try:
-        series = parse_series(path, "S1", dt=600.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert series.n_samples == n
-    assert peak <= 3 * path.stat().st_size
+    header, *rows = path.read_bytes().split(b"\r\n")
+    forms = {
+        "canonical": rows,
+        "offset": [row.replace(b"Z,", b"+00:00,") for row in rows],
+        "quoted": [row.replace(b",", b',"') + b'"' if row else row for row in rows],
+    }
+    for form, form_rows in forms.items():
+        path.write_bytes(b"\r\n".join([header, *form_rows]))
+        tracemalloc.start()
+        try:
+            series = parse_series(path, "S1", dt=600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.n_samples == n, form
+        assert peak <= 3 * path.stat().st_size, form
 
 
 @pytest.mark.parametrize("dt", [600.0, 1.0, 0.1, 1.0 / 3.0])
