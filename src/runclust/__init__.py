@@ -13,8 +13,8 @@ from .allan import (AfCurve, CountingProcess, DP_CUTOFF, PowerLawFit, af_curve,
 from .ingest import (ParseError, SampledSeries, StationMeta, parse_series,
                      parse_station_meta, write_series)
 from .runs import (MarkedPointProcess, ThresholdSpec, compute_threshold,
-                   extract_runs, filter_by_min_length, linear_quantile,
-                   read_events, write_events)
+                   extract_runs, filter_by_min_length, read_events,
+                   write_events)
 from .stats import (RunLengthDensity, average_density, coefficient_of_variation,
                     interevent_times, local_coefficient_of_variation,
                     mean_interevent_time, run_length_density)
@@ -37,7 +37,7 @@ __all__ = [
     "departure", "derive_cell_seed", "extract_runs",
     "filter_by_min_length",
     "fit_power_law", "generate", "generate_series", "interevent_times",
-    "linear_quantile", "local_coefficient_of_variation",
+    "local_coefficient_of_variation",
     "mean_interevent_time", "parse_series", "parse_station_meta",
     "poisson_surrogate", "read_events", "run_batch", "run_length_density",
     "run_station", "surrogate_rng", "write_events",

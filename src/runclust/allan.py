@@ -16,8 +16,11 @@ flattened block counts every row at once; the surrogate sweep hands it
 blocks of many surrogates, so its fixed cost per tau is shared by all of
 them.  Large processes with few windows per event (at least 5,000
 events and more than 20 per window) find the window boundaries by
-binary search instead, row by row, which costs per window rather than
-per event.  Both regimes give every row the same bits as
+binary search of the absolute times instead, row by row, which costs
+per window rather than per event and reads only the events next to the
+boundaries; the times relative to the window start and the per-event
+buffers are built only when some tau takes the dense regime.  Both
+regimes give every row the same bits as
 ``allan_factor(counting_process(pp, tau))`` on that row alone.
 """
 
@@ -170,23 +173,30 @@ def _dense_sums(rel: np.ndarray, tau: float, n_windows: int,
                   counts[last] * past)
 
 
-def _window_edges(rel: np.ndarray, tau: float, n_windows: int) -> np.ndarray:
-    # edges[j] = number of events whose window index (rel/tau).astype(int64)
-    # is below j, for j = 0..W.  That index never decreases along the
-    # sorted rel, so the events below j form a prefix.  searchsorted on
-    # the rounded products j*tau lands next to each edge (one event off
-    # at most, where rel/tau and j*tau round across each other, in every
-    # case tried); the loop then moves every edge by one event while the
-    # event before it sits at or above j, or the event at it below j.
-    # Each pass moves an edge one event toward its exact prefix length
-    # and never past it, so the loop stops there, and a pass that moves
-    # nothing proves it.  Usually the first pass moves nothing.
+def _window_edges(times: np.ndarray, window_start: float, tau: float,
+                  n_windows: int) -> np.ndarray:
+    # edges[j] = number of events whose window index
+    # ((times - window_start)/tau).astype(int64) is below j, for j = 0..W.
+    # That index never decreases along the sorted times, so the events
+    # below j form a prefix.  searchsorted on the rounded boundaries
+    # window_start + j*tau lands next to each edge (off only by events
+    # within rounding of a boundary, where it and their quotient round
+    # across each other); the loop then moves every edge by one event
+    # while the event before it sits at or above j, or the event at it
+    # below j.  Each pass moves an edge one event toward its exact prefix
+    # length and never past it, so the loop stops there, and a pass that
+    # moves nothing proves it.  Usually the first pass moves nothing.
+    # Only the events next to the edges are read, each through the same
+    # subtraction and division as the dense regime's, so the process is
+    # never copied.
     j = np.arange(n_windows + 1)
-    edges = np.searchsorted(rel, j * tau)
-    last = rel.size - 1
+    edges = np.searchsorted(times, window_start + j * tau)
+    last = times.size - 1
     while True:
-        before = (rel[np.maximum(edges - 1, 0)] / tau).astype(np.int64)
-        at = (rel[np.minimum(edges, last)] / tau).astype(np.int64)
+        before = ((times[np.maximum(edges - 1, 0)] - window_start) / tau
+                  ).astype(np.int64)
+        at = ((times[np.minimum(edges, last)] - window_start) / tau
+              ).astype(np.int64)
         step = (((edges <= last) & (at < j)).astype(np.int64)
                 - ((edges > 0) & (before >= j)))
         if not step.any():
@@ -213,9 +223,10 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
       (``_dense_sums``); its quotient, window-index and run-break
       buffers, 17 bytes per event, are allocated once per call and
       written in place at every tau;
-    - *edges*: the W+1 window boundaries come from ``searchsorted``,
-      corrected to the same per-event rule (``_window_edges``), and the
-      counts are their differences, row by row.
+    - *edges*: the W+1 window boundaries come from ``searchsorted`` on
+      the absolute times, corrected to the same per-event rule
+      (``_window_edges``), and the counts are their differences, row by
+      row; nothing of the size of the process is allocated.
 
     The edge thresholds come from timing one row per call, per tau, on
     one core of a 2-CPU Xeon with numpy 2.4: the dense regime cost about
@@ -265,10 +276,13 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     n_windows = np.array([int(duration // tau) for tau in taus], dtype=np.int64)
     edge = (n >= _EDGE_MIN_EVENTS) & (n > _EDGE_EVENTS_PER_WINDOW * n_windows)
     live = (n_windows >= 2) & (n >= 2)
-    rel = times - window_start
     if np.any(live & ~edge):
-        # The dense pass's buffers, 17 bytes per event, held for the
-        # block: the quotients, the window indices and the run breaks.
+        # Only the dense pass reads every event.  It takes the times
+        # relative to the window start and holds its buffers, 17 bytes
+        # per event, for the block: the quotients, the window indices
+        # and the run breaks.  A call whose taus all take the edge
+        # regime allocates nothing per event.
+        rel = times - window_start
         buffers = (np.empty((rows, n)), np.empty((rows, n), dtype=np.int64),
                    np.empty(rows * n + 1, dtype=bool))
         row_bounds = np.arange(rows + 1) * n
@@ -276,7 +290,7 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
         tau, w = taus[i], int(n_windows[i])
         if edge[i]:
             for r in range(rows):
-                edges = _window_edges(rel[r], tau, w)
+                edges = _window_edges(times[r], window_start, tau, w)
                 c = np.diff(edges, append=n)
                 runs[r, i] = np.dot(c, c) - np.dot(c[:-1], c[1:])
                 tails[:, r, i] = edges[1], edges[w] - edges[w - 1], n - edges[w]

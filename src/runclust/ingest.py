@@ -58,12 +58,13 @@ class ParseError(ValueError):
 
 @contextmanager
 def _open_csv(path: Path):
-    """The open text of a CSV file.  A file that cannot be opened or
-    decoded raises :class:`ParseError` naming it; the decoder's byte
-    offset counts from the chunk it was decoding, not from the start of
-    the file, so it is left out."""
+    """The open text of a CSV file, decoded as UTF-8 with or without a
+    leading byte-order mark, as spreadsheet exports often write.  A
+    file that cannot be opened or decoded raises :class:`ParseError`
+    naming it; the decoder's byte offset counts from the chunk it was
+    decoding, not from the start of the file, so it is left out."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", path) from exc
     with handle:

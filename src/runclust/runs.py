@@ -28,29 +28,9 @@ __all__ = [
     "compute_threshold",
     "extract_runs",
     "filter_by_min_length",
-    "linear_quantile",
     "read_events",
     "write_events",
 ]
-
-
-def linear_quantile(values: np.ndarray, p: float) -> float:
-    """Empirical quantile with linear interpolation between order statistics.
-
-    The quantile sits at one-based rank ``p*(n-1)+1``; fractional ranks
-    interpolate linearly between the two adjacent order statistics.
-    This is numpy's ``method="linear"``.  No code in the package calls
-    this function: the station thresholds (``_thresholds``) and the
-    surrogate band edges (``surrogates._band_edges``) pass the same
-    method to ``np.quantile`` themselves, for many levels or columns in
-    one call, and each of their values equals this one-level form's.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("quantile of an empty sample")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("quantile level must lie in [0, 1]")
-    return float(np.quantile(values, p, method="linear"))
 
 
 @dataclass(frozen=True)
@@ -173,7 +153,7 @@ def _thresholds(series: SampledSeries, percentiles, min_count: int = 100
                 ) -> list[ThresholdSpec]:
     # compute_threshold at each level, in the order given, from one
     # np.quantile call: one selection pass over the samples serves every
-    # level, each with the bits linear_quantile gives it alone.
+    # level, each with the bits a call for that level alone gives.
     levels = np.asarray(percentiles, dtype=float)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError("percentile must lie in (0, 1)")

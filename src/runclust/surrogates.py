@@ -22,7 +22,9 @@ curve, NaN where the factor is undefined, in ``AfBand.observed``.
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
 fully deterministic, platform-independent, and independent across
-surrogates regardless of evaluation order.
+surrogates regardless of evaluation order.  The sweep re-keys one
+generator to each stream in turn rather than building one per
+surrogate; the streams are the same bits.
 """
 
 from __future__ import annotations
@@ -74,6 +76,21 @@ def surrogate_rng(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("stream must be a 64-bit unsigned integer")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _surrogate_streams(seed: int, count: int):
+    # surrogate_rng(seed, i) for i = 0..count-1, in order, as one
+    # Generator whose Philox is re-keyed in place: the state of a fresh
+    # Philox (counter 0, empty buffer) with the key set to (seed, i).
+    # Each yielded stream is the same bits as surrogate_rng(seed, i) and
+    # is valid until the next one is taken; re-keying is several times
+    # cheaper than building a Generator.
+    rng = surrogate_rng(seed)
+    state = rng.bit_generator.state
+    for stream in range(count):
+        state["state"]["key"][1] = stream
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _sorted_uniform(rng: np.random.Generator, n: int, start: float,
@@ -222,12 +239,13 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     rows = min(max(1, _BLOCK_EVENTS // n), total)
     block = np.empty((rows, n))
     block[0] = pp.times  # the first block's row 0; later blocks draw over it
+    streams = _surrogate_streams(config.seed, config.n_surrogates)
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         part = block[:hi - lo]
         for i in range(max(lo, 1), hi):
-            _sorted_uniform(surrogate_rng(config.seed, i - 1), n,
-                            pp.window_start, span, out=part[i - lo])
+            _sorted_uniform(next(streams), n, pp.window_start, span,
+                            out=part[i - lo])
         samples[lo:hi, 0], samples[lo:hi, 1] = _dispersion_rows(
             np.diff(part, axis=1))
         samples[lo:hi, 2:] = _af_grid(part, pp.window_start, pp.duration, taus)

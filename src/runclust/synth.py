@@ -210,7 +210,10 @@ def _fractal_renewal_times(rng, gamma: float, min_gap: float,
     # ``t + cumsum(min_gap * (1 - U) ** (-1/gamma))`` (``**=`` keeps the
     # shortcuts ``**`` takes for exponents such as -1, which np.power
     # lacks); the chunk size sets where each cumulative sum restarts, so
-    # it fixes the bits too.
+    # it fixes the bits too.  The times inside the window are a prefix
+    # of those drawn, and their buffer is shrunk to them in place, so
+    # the process owns exactly its events rather than viewing a buffer
+    # about 1.2 times its size.
     mean_gap = gamma / (gamma - 1.0) * min_gap if gamma > 1 else 10.0 * min_gap
     chunk = int(max(1024, min(2 ** 22, 1.2 * window / mean_gap + 16)))
     parts = []
@@ -232,7 +235,10 @@ def _fractal_renewal_times(rng, gamma: float, min_gap: float,
     if len(parts) > 1:
         times = np.concatenate(parts)
     # Times never decrease, so the ones inside the window are a prefix.
-    return times[:np.searchsorted(times, window)]
+    # No view of the buffer exists, so it can be reallocated; shrinking
+    # keeps the prefix's bits and does not copy them.
+    times.resize(np.searchsorted(times, window), refcheck=False)
+    return times
 
 
 # Generator.geometric draws by search from this p upward (the literal is

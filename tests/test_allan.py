@@ -1,5 +1,7 @@
 """Tests for counting processes, Allan factor curves, fits and departures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,31 +129,63 @@ def test_af_curve_window_edges_exact():
 def test_af_curve_edge_regime_exact():
     # Processes large enough to be counted by window edges.  The counts
     # must follow the per-event rule floor((t - start)/tau) exactly where
-    # the rounded products j*tau and quotients t/tau disagree: events on
-    # j*tau and one ulp either side of it, for taus that are not exact
-    # binary fractions.  Every case occupies its first and last window
-    # and leaves events in a trailing partial window.
-    rng = surrogate_rng(89)
-    uniform = make_pp(np.sort(rng.random(20_000)) * 1e6, 1e6)
+    # the rounded boundaries start + j*tau and quotients (t - start)/tau
+    # disagree: events on start + j*tau and one ulp either side of it,
+    # for taus that are not exact binary fractions.  Every case occupies
+    # its first and last window and leaves events in a trailing partial
+    # window.  Checked on a window from 0 and on one from an epoch-sized
+    # instant, where the boundaries round at the scale of the start and
+    # can land several events from the exact edge.
     dt = 600.0
-    aligned = make_pp(2 * dt * np.sort(rng.choice(20_000, 15_000, replace=False)),
-                      40_001 * dt, dt=dt)
-    cases = [(uniform, np.geomspace(2.1e3, 4e5, 12)),
-             (aligned, dt * np.array([100.0, 128.0, 150.0, 200.0, 400.0, 4000.0]))]
-    for tau in (0.7, 3.3, 7.3):
-        on = np.arange(250) * tau
-        near = np.concatenate([on, np.nextafter(on, np.inf),
-                               np.nextafter(on[1:], -np.inf),
-                               rng.random(6000) * 250.5 * tau])
-        cases.append((make_pp(np.unique(near), 250.5 * tau),
-                      tau * np.array([1.0, 2.0, 3.0])))
-    for pp, taus in cases:
+    for start in (0.0, 1.5e9):
+        rng = surrogate_rng(89)
+
+        def shifted(times, window, step=0.0):
+            times = np.unique(start + times)
+            return MarkedPointProcess(
+                times=times, lengths=np.ones(times.size, dtype=np.int64),
+                window_start=start, window_end=start + window, dt=step)
+
+        uniform = shifted(np.sort(rng.random(20_000)) * 1e6, 1e6)
+        aligned = shifted(2 * dt * np.sort(rng.choice(20_000, 15_000,
+                                                      replace=False)),
+                          40_001 * dt, step=dt)
+        cases = [(uniform, np.geomspace(2.1e3, 4e5, 12)),
+                 (aligned, dt * np.array([100.0, 128.0, 150.0, 200.0, 400.0,
+                                          4000.0]))]
+        for tau in (0.7, 3.3, 7.3):
+            on = start + np.arange(250) * tau
+            near = np.concatenate([on, np.nextafter(on, np.inf),
+                                   np.nextafter(on[1:], -np.inf),
+                                   start + rng.random(6000) * 250.5 * tau])
+            cases.append((shifted(near - start, 250.5 * tau),
+                          tau * np.array([1.0, 2.0, 3.0])))
+        for pp, taus in cases:
+            curve = af_curve(pp, taus)
+            assert pp.n_events >= allan._EDGE_MIN_EVENTS
+            assert curve.n_defined == taus.size
+            for tau, value in zip(curve.taus, curve.af):
+                assert pp.n_events > allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
+                assert value == allan_factor(counting_process(pp, tau))
+
+
+def test_af_curve_edge_regime_allocates_no_process_copy():
+    # Every tau of this grid takes the edge regime, which reads only the
+    # events next to the window boundaries: the curve's peak allocation
+    # stays far below one byte per event, let alone a copy of the times.
+    pp = generate(SynthSpec.fractal_renewal(0.3, window=1e6, seed=7,
+                                            min_gap=1.0))
+    taus = np.geomspace(1e3, 1e5, 20)
+    assert all(pp.n_events > allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
+               for tau in taus)
+    tracemalloc.start()
+    try:
         curve = af_curve(pp, taus)
-        assert pp.n_events >= allan._EDGE_MIN_EVENTS
-        assert curve.n_defined == taus.size
-        for tau, value in zip(curve.taus, curve.af):
-            assert pp.n_events > allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
-            assert value == allan_factor(counting_process(pp, tau))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.n_defined == taus.size
+    assert peak < pp.n_events
 
 
 def _reference_af(times, window, tau, start=0.0):

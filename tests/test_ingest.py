@@ -175,6 +175,30 @@ def test_undecodable_bytes_name_the_file(tmp_path):
         assert "position" not in str(info.value)
 
 
+def test_parse_series_accepts_byte_order_mark(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark; it is
+    # not part of the header, on the block path (canonical rows) or the
+    # row loop (a quoted value), and line numbers still count from 1.
+    rows = "2010-01-01T00:00:00Z,1.5\n2010-01-01T00:10:00Z,\n"
+    for body in (rows, rows.replace(",1.5", ',"1.5"')):
+        plain = _write(tmp_path / "plain.csv", "timestamp,value\n" + body)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_series(marked, "S1", dt=600.0) == \
+            parse_series(plain, "S1", dt=600.0)
+    marked.write_bytes(b"\xef\xbb\xbftimestamp,value\n"
+                       b"2010-01-01T00:00:00Z,1.5\n2010-01-01T00:10:00Z,x\n")
+    with pytest.raises(ParseError, match="malformed value") as info:
+        parse_series(marked, "S1", dt=600.0)
+    assert info.value.line == 3
+
+
+def test_parse_station_meta_accepts_byte_order_mark(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_bytes(b"\xef\xbb\xbfstation_id,height\nWYN,422\n")
+    assert parse_station_meta(path) == [StationMeta("WYN", 422.0)]
+
+
 def test_series_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
     values = rng.random(50) * 30.0
@@ -324,10 +348,10 @@ def _outcome(parse, path, dt):
 
 def _assert_same_outcome(path, dt):
     expected = _outcome(_reference_parse, path, dt)
-    # Tiny blocks put block edges between every few rows, and inside CRLFs.
-    for chars, rows in ((ingest._CHUNK_CHARS, ingest._CHUNK_ROWS), (7, 2), (64, 3)):
-        with mock.patch.object(ingest, "_CHUNK_CHARS", chars), \
-                mock.patch.object(ingest, "_CHUNK_ROWS", rows):
+    # Tiny blocks put block edges between every few rows, and inside rows
+    # and CRLFs.
+    for chars in (ingest._CHUNK_CHARS, 64, 7):
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chars):
             assert _outcome(parse_series, path, dt) == expected
     return expected
 

@@ -8,8 +8,9 @@ import pytest
 
 from runclust import runs
 from runclust import MarkedPointProcess, SampledSeries, ThresholdSpec, \
-    compute_threshold, extract_runs, filter_by_min_length, linear_quantile, \
-    read_events, write_events
+    compute_threshold, extract_runs, filter_by_min_length, read_events, \
+    write_events
+from test_surrogates import linear_quantile
 
 T0 = datetime(2010, 1, 1, tzinfo=timezone.utc)
 

@@ -7,14 +7,33 @@ import pytest
 
 from runclust import allan, surrogates
 from runclust import MarkedPointProcess, SurrogateConfig, af_curve, \
-    allan_factor, cell_bands, counting_process, linear_quantile, \
-    poisson_surrogate, surrogate_rng
+    allan_factor, cell_bands, counting_process, poisson_surrogate, \
+    surrogate_rng
 from runclust.stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
 from runclust.synth import SynthSpec, generate
 
 
 NO_TAUS = np.empty(0)
+
+
+def linear_quantile(values: np.ndarray, p: float) -> float:
+    """Empirical quantile with linear interpolation between order statistics.
+
+    The quantile sits at one-based rank ``p*(n-1)+1``; fractional ranks
+    interpolate linearly between the two adjacent order statistics.
+    This is numpy's ``method="linear"``, taken one level of one sample
+    at a time: the oracle for the station thresholds
+    (``runs._thresholds``) and the surrogate band edges
+    (``surrogates._band_edges``), which take many levels or columns in
+    one ``np.quantile`` call.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("quantile of an empty sample")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("quantile level must lie in [0, 1]")
+    return float(np.quantile(values, p, method="linear"))
 
 
 def make_pp(seed=83, n=500, window=1e6, mark_q=0.4):
@@ -312,3 +331,35 @@ def test_sorted_uniform_matches_reference_with_tie():
         expected, _ = reference(surrogate_rng(seed), 1000, 3.0, 7.0e6)
         ours = surrogates._sorted_uniform(surrogate_rng(seed), 1000, 3.0, 7.0e6)
         assert ours.tobytes() == expected.tobytes()
+
+
+def test_surrogate_streams_match_surrogate_rng():
+    # The sweep re-keys one generator per surrogate; every stream must be
+    # surrogate_rng(seed, i) bit for bit, however much of the stream
+    # before it was used.  On a one-second window at 2**40 s there are
+    # 4096 distinct times, so most draws of 100 sorted uniforms tie and
+    # are redrawn from the same stream.
+    start, span, n = 2.0 ** 40, 1.0, 100
+    redrawn = 0
+    for i, rng in enumerate(surrogates._surrogate_streams(11, 40)):
+        reference = surrogate_rng(11, i)
+        ours = surrogates._sorted_uniform(rng, n, start, span)
+        expected = surrogates._sorted_uniform(reference, n, start, span)
+        assert ours.tobytes() == expected.tobytes()
+        assert rng.integers(2 ** 32, dtype=np.uint32) == \
+            reference.integers(2 ** 32, dtype=np.uint32)
+        first = np.sort(start + surrogate_rng(11, i).random(n) * span)
+        redrawn += bool(np.any(first[1:] == first[:-1]))
+    assert redrawn >= 10
+
+    # Through the sweep: the Cv band is the quantile rule over the
+    # surrogates poisson_surrogate draws, redraws included.
+    pp = MarkedPointProcess(times=start + np.arange(n) / 128.0,
+                            lengths=np.ones(n, dtype=int), window_start=start,
+                            window_end=start + span, dt=0.0)
+    config = SurrogateConfig(seed=11, n_surrogates=40)
+    cv_band, _, _ = cell_bands(pp, NO_TAUS, config)
+    cvs = [coefficient_of_variation(np.diff(poisson_surrogate(pp, 11, i).times))
+           for i in range(40)]
+    assert cv_band.lo == linear_quantile(cvs, 0.025)
+    assert cv_band.hi == linear_quantile(cvs, 0.975)

@@ -253,8 +253,17 @@ def test_fractal_renewal_times_match_reference():
                 expected, n_chunks = _fractal_renewal_times_reference(
                     surrogate_rng(seed), gamma, min_gap, window)
                 assert ours.tobytes() == expected.tobytes(), case
+                assert ours.base is None and ours.nbytes == 8 * ours.size, case
                 chunks.append(n_chunks)
     assert max(chunks) > 1
+
+
+def test_fractal_renewal_times_own_their_buffer():
+    # The process holds exactly its events, not a view of the larger
+    # chunk it was drawn in.
+    pp = generate(SynthSpec.fractal_renewal(0.3, 1e6, seed=7, min_gap=1.0))
+    assert pp.times.base is None
+    assert pp.times.nbytes == 8 * pp.n_events
 
 
 def test_generate_digest_unchanged():
