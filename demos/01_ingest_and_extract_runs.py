@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from runclust import (SampledSeries, compute_threshold, extract_runs,
                       parse_series, write_series)
@@ -25,7 +24,11 @@ from datetime import datetime, timezone
 n = 10_000
 rng = np.random.Generator(np.random.Philox(key=np.array([42, 0], dtype=np.uint64)))
 phi = 0.7
-z = lfilter([np.sqrt(1 - phi ** 2)], [1, -phi], rng.standard_normal(n))
+e = np.sqrt(1 - phi ** 2) * rng.standard_normal(n)
+z = np.empty(n)
+z[0] = e[0]
+for k in range(1, n):
+    z[k] = phi * z[k - 1] + e[k]
 values = np.round(np.exp(0.5 * z), 3)
 missing = rng.random(n) < 0.02
 values[missing] = np.nan

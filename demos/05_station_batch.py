@@ -15,7 +15,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from runclust import (AnalysisConfig, SampledSeries, TauGridSpec, run_batch,
                       write_series)
@@ -28,7 +27,11 @@ def noise_station(station_id, seed, phi, n=100_000):
     # high percentile arrive in clusters, not as isolated samples.
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64)))
-    z = lfilter([np.sqrt(1 - phi ** 2)], [1, -phi], rng.standard_normal(n))
+    e = np.sqrt(1 - phi ** 2) * rng.standard_normal(n)
+    z = np.empty(n)
+    z[0] = e[0]
+    for k in range(1, n):
+        z[k] = phi * z[k - 1] + e[k]
     values = np.round(np.exp(0.45 * z), 3)
     missing = rng.random(n) < 0.01
     values[missing] = np.nan

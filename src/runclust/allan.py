@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .runs import MarkedPointProcess
 
@@ -422,13 +421,29 @@ def fit_power_law(curve: AfCurve, fit_range: tuple[float, float] | None = None,
                   min_points: int = 5, min_excess: float = 0.01) -> PowerLawFit:
     """Fit the power-law rise of an Allan-factor curve.
 
+    The fit is the least-squares line through ``x = log(tau)``,
+    ``y = log(AF - 1)`` over the usable points.  With ``m`` the mean
+    over those points,
+
+        alpha = m[(x - m[x])(y - m[y])] / m[(x - m[x])**2]
+        tau1 = exp(-(m[y] - alpha*m[x]) / alpha)
+        r_squared = r**2,  r = m[(x - m[x])(y - m[y])]
+                               / sqrt(m[(x - m[x])**2] m[(y - m[y])**2])
+
+    with ``r`` clipped to [-1, 1], and NaN when ``y`` is constant.  The
+    steps are the ones SciPy's ``linregress`` takes (the moments from
+    ``np.cov(x, y, bias=1)``, then slope, intercept and r), so the three
+    values have the same bits as that function gives, and fits written
+    with it reproduce exactly.
+
     Parameters
     ----------
     curve : AfCurve
     fit_range : (float, float), optional
         Tau bounds of the fit; defaults to the middle two log-decades.
     min_points : int
-        Fewer usable points than this raises.
+        Fewer usable points than this raises; at least 2, since a line
+        needs two points.
     min_excess : float
         Points with ``AF <= 1 + min_excess`` are excluded from the fit.
 
@@ -438,6 +453,8 @@ def fit_power_law(curve: AfCurve, fit_range: tuple[float, float] | None = None,
         A non-positive fitted slope is reported as ``detected=False``
         ("no fractal scaling"), not as an error.
     """
+    if min_points < 2:
+        raise ValueError("min_points must be at least 2")
     if fit_range is None:
         fit_range = default_fit_range(curve)
     lo, hi = fit_range
@@ -455,12 +472,17 @@ def fit_power_law(curve: AfCurve, fit_range: tuple[float, float] | None = None,
 
     x = np.log(curve.taus[usable])
     y = np.log(curve.af[usable] - 1.0)
-    result = sstats.linregress(x, y)
-    alpha = float(result.slope)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    alpha = float(ssxym / ssxm)
+    intercept = np.mean(y) - alpha * np.mean(x)
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     detected = alpha > 0
-    tau1 = float(np.exp(-result.intercept / alpha)) if detected else np.nan
+    tau1 = float(np.exp(-intercept / alpha)) if detected else np.nan
     return PowerLawFit(alpha=alpha, tau1=tau1, fit_lo=float(lo), fit_hi=float(hi),
-                       r_squared=float(result.rvalue ** 2), n_used=n_used,
+                       r_squared=float(r ** 2), n_used=n_used,
                        n_excluded=n_excluded, detected=detected)
 
 

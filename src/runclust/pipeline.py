@@ -104,13 +104,22 @@ class TauGridSpec:
     def resolve(self, dt: float, duration: float) -> np.ndarray:
         """The grid for a process sampled every ``dt`` seconds over
         ``duration`` seconds."""
+        return np.geomspace(*self._edges(dt, duration / 10.0), self.points)
+
+    def _edges(self, dt: float, default_hi: float) -> tuple[float, float]:
+        # The grid's first and last tau for sampling step ``dt``, with
+        # ``default_hi`` as the last unless ``hi`` is set; raises unless
+        # the grid is non-empty and no tau is below ``dt``.
         if self.lo is None and not dt > 0:
             raise ValueError("process has no sampling step; supply an explicit grid")
         lo = 2.0 * dt if self.lo is None else self.lo
-        hi = duration / 10.0 if self.hi is None else self.hi
+        hi = default_hi if self.hi is None else self.hi
+        if lo < dt:
+            raise ValueError(f"tau grid must not go below the sampling step "
+                             f"({lo:g} s < {dt:g} s)")
         if not hi >= lo:
-            raise ValueError("resolved tau grid is empty (hi < lo)")
-        return np.geomspace(lo, hi, self.points)
+            raise ValueError(f"resolved tau grid is empty (hi {hi:g} s < lo {lo:g} s)")
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,9 @@ class AnalysisConfig:
     :class:`TauGridSpec` and :class:`SurrogateConfig`.  Every value is
     checked here, before any input is read: first its type, naming its
     :meth:`as_mapping` key, then its range; the seed, surrogate count
-    and band by building the :class:`SurrogateConfig` each cell builds.
+    and band by building the :class:`SurrogateConfig` each cell builds,
+    and the tau grid's edges against ``dt``, the sampling step every
+    station is parsed with.
     """
 
     seed: int
@@ -181,6 +192,7 @@ class AnalysisConfig:
             raise ValueError("workers must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        self.tau_grid._edges(self.dt, math.inf)
         SurrogateConfig(self.seed, self.n_surrogates, self.band)
         object.__setattr__(self, "output_dir", str(self.output_dir))
         object.__setattr__(self, "percentiles", tuple(float(p) for p in self.percentiles))

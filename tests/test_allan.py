@@ -408,6 +408,49 @@ def test_fit_power_law_poisson_rejected():
         assert (not fit.detected) or abs(fit.alpha) < 0.2
 
 
+def _linregress_fit(stats, curve, fit_range, min_excess=0.01):
+    # (alpha, tau1, r_squared) from scipy.stats.linregress on the points
+    # fit_power_law uses: the oracle for its closed form.
+    lo, hi = fit_range
+    usable = (curve.defined & (curve.taus >= lo) & (curve.taus <= hi)
+              & (curve.af > 1.0 + min_excess))
+    result = stats.linregress(np.log(curve.taus[usable]),
+                              np.log(curve.af[usable] - 1.0))
+    alpha = float(result.slope)
+    tau1 = float(np.exp(-result.intercept / alpha)) if alpha > 0 else np.nan
+    return alpha, tau1, float(result.rvalue ** 2)
+
+
+def test_fit_power_law_matches_linregress_exactly():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(17)
+
+    def check(curve, fit_range, min_points=5):
+        fit = fit_power_law(curve, fit_range=fit_range, min_points=min_points)
+        np.testing.assert_array_equal(
+            (fit.alpha, fit.tau1, fit.r_squared),
+            _linregress_fit(stats, curve, fit_range))
+
+    for _ in range(300):
+        taus = np.geomspace(rng.uniform(600.0, 6000.0),
+                            rng.uniform(1e5, 1e7), int(rng.integers(5, 70)))
+        excess = ((taus / rng.uniform(1e2, 1e6)) ** rng.uniform(-1.0, 1.5)
+                  * np.exp(rng.normal(0.0, rng.uniform(0.0, 1.0), taus.size)))
+        check(AfCurve(taus=taus, af=1.0 + excess), (taus[0], taus[-1]),
+              min_points=2)
+
+    taus = np.geomspace(1e3, 1e5, 20)
+    flat = AfCurve(taus=taus, af=np.full(taus.size, 1.5))
+    check(flat, (1e3, 1e5))
+    assert np.isnan(fit_power_law(flat, fit_range=(1e3, 1e5)).r_squared)
+
+    pair = AfCurve(taus=np.array([1e3, 4e3]), af=np.array([1.2, 1.9]))
+    check(pair, (1e3, 4e3), min_points=2)
+    assert fit_power_law(pair, fit_range=(1e3, 4e3), min_points=2).r_squared == 1.0
+    with pytest.raises(ValueError, match="min_points must be at least 2"):
+        fit_power_law(pair, fit_range=(1e3, 4e3), min_points=1)
+
+
 def _band_on(taus, hi):
     taus = np.asarray(taus, dtype=float)
     hi = np.asarray(hi, dtype=float)

@@ -49,6 +49,34 @@ def test_module_entry_point_prints_help():
         assert command in proc.stdout
 
 
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None   # any import of scipy now raises
+import numpy as np
+import runclust
+from runclust import cli
+taus = np.geomspace(1e3, 1e6, 30)
+fit = runclust.fit_power_law(runclust.AfCurve(taus=taus, af=1.0 + (taus / 1e3) ** 0.5))
+assert abs(fit.alpha - 0.5) < 1e-9 and abs(fit.tau1 - 1e3) < 1e-6, fit
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+assert not loaded, loaded
+"""
+
+
+def test_package_and_cli_run_without_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests
+    # and the benchmark.
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: runclust" in proc.stdout
+
+
 def test_missing_or_unknown_command_is_usage_error(capsys):
     assert call([]) == 1
     assert call(["frobnicate"]) == 1
@@ -147,6 +175,8 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
         (["--n-surrogates", "0"], "at least 2 surrogates"),
         (["--seed", "-1"], "64-bit unsigned integer"),
         (["--dt", "0"], "dt must be positive"),
+        (["--tau-lo", "10"], "must not go below the sampling step"),
+        (["--tau-hi", "100"], "tau grid is empty"),
     ]
     for extra, message in cases:
         assert call(base + extra) == 1, extra
@@ -397,6 +427,18 @@ def test_af_two_events_and_lone_tau_lo(tmp_path, capsys):
     # Cv and Lv bands need a third event.
     assert call(["af", str(events), "--n-surrogates", "8", "--seed", "1"]) == 2
     assert "at least 3 events" in capsys.readouterr().err
+
+
+def test_af_grid_below_sampling_step_exits_1(tmp_path, capsys):
+    events = tmp_path / "ev.csv"
+    write_events(MarkedPointProcess(times=np.arange(0.0, 6.0e6, 6000.0),
+                                    lengths=np.ones(1000, dtype=np.int64),
+                                    window_start=0.0, window_end=6.0e6,
+                                    dt=600.0), events)
+    for extra in ([], ["--n-surrogates", "8", "--seed", "1"]):
+        assert call(["af", str(events), "--tau-lo", "10"] + extra) == 1, extra
+        assert ("runclust: error: tau grid must not go below the sampling step"
+                in capsys.readouterr().err), extra
 
 
 def test_af_missing_sidecar_exits_2(tmp_path, capsys):

@@ -88,9 +88,16 @@ def test_analysis_config_validation(tmp_path):
                                ({"n_surrogates": 1}, "at least 2 surrogates"),
                                ({"n_surrogates": 0}, "at least 2 surrogates"),
                                ({"seed": -1}, "64-bit unsigned integer"),
-                               ({"dt": 0.0}, "dt must be positive")):
+                               ({"dt": 0.0}, "dt must be positive"),
+                               ({"tau_grid": TauGridSpec(lo=10.0)},
+                                "below the sampling step"),
+                               ({"tau_grid": TauGridSpec(hi=100.0)},
+                                "tau grid is empty")):
         with pytest.raises(ValueError, match=message):
             small_config(tmp_path, **overrides)
+    # The grid may start at the sampling step and end where it starts.
+    small_config(tmp_path, tau_grid=TauGridSpec(lo=600.0, hi=600.0))
+    small_config(tmp_path, tau_grid=TauGridSpec(hi=1200.0))
 
 
 def test_analysis_config_type_checks(tmp_path):
