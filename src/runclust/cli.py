@@ -241,14 +241,14 @@ def _make_parser() -> _Parser:
     p.add_argument("--station-id", default=None,
                    help="station identifier (default: file stem)")
     _add_analysis_flags(p)
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=_cmd_analyze, parser=p)
 
     p = sub.add_parser("batch",
                        help="analyse every station CSV in a directory")
     p.add_argument("station_dir", help="directory of station CSVs")
     p.add_argument("meta", help="station metadata CSV (station_id,height,...)")
     _add_analysis_flags(p)
-    p.set_defaults(handler=_cmd_batch)
+    p.set_defaults(handler=_cmd_batch, parser=p)
 
     p = sub.add_parser("synth",
                        help="generate a benchmark event stream or series")
@@ -273,7 +273,7 @@ def _make_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=600.0, metavar="SECONDS")
     p.add_argument("--base-level", type=float, default=0.0)
     p.add_argument("--extreme-level", type=float, default=10.0)
-    p.set_defaults(handler=_cmd_synth)
+    p.set_defaults(handler=_cmd_synth, parser=p)
 
     p = sub.add_parser("af",
                        help="Allan-factor curve from an event list")
@@ -290,7 +290,7 @@ def _make_parser() -> _Parser:
                    metavar="SECONDS")
     p.add_argument("--no-fit", action="store_true")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(handler=_cmd_af)
+    p.set_defaults(handler=_cmd_af, parser=p)
 
     return parser
 
@@ -301,7 +301,8 @@ def main(argv=None) -> int:
     if getattr(args, "station_id", "") is None:
         args.station_id = Path(args.series).stem
     try:
-        return args.handler(parser, args)
+        # The subcommand's own parser, so a late usage error prints its usage.
+        return args.handler(args.parser, args)
     except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError
         print(f"runclust: data error: {exc}", file=sys.stderr)
         return 2

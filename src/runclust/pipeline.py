@@ -13,10 +13,13 @@ Cells are independent, so a batch distributes them over a bounded
 worker pool, and each cell writes its own products (``stats.json``,
 ``af.csv``, ``band.csv``, ``pm.csv``) in the process that evaluates it;
 the parent writes only a station's event lists, while the cells run,
-and its ``summary.json``.  Each cell's surrogate seed is derived from
-the master seed and the cell identity alone, every file has one writer,
-and results are assembled in sorted cell order, so outputs are
-byte-identical across reruns regardless of worker count or scheduling.
+and its ``summary.json``.  With more than one worker, the same pool
+parses the station series, one station ahead of the cells, so at most
+two parsed series are held at once.  Each cell's surrogate seed is
+derived from the master seed and the cell identity alone, every file
+has one writer, and results are assembled in sorted cell order, so
+outputs are byte-identical across reruns regardless of worker count or
+scheduling.
 """
 
 from __future__ import annotations
@@ -506,9 +509,12 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     stations whose series cannot be parsed or thresholded, and stations
     one of whose cells killed its worker process (the stations that
     remain get a fresh pool); remaining stations still run (partial
-    results).  Cross-station products land in ``<output_dir>/cross/``:
-    the averaged run-length density and the threshold-vs-height table
-    per percentile, mean interevent time by height per (percentile, min
+    results).  With more than one worker, each series is parsed in the
+    pool that runs the cells, one station ahead of them, so at most two
+    parsed series are held at once; see :func:`_run_stations`.
+    Cross-station products land in ``<output_dir>/cross/``: the averaged
+    run-length density and the threshold-vs-height table per
+    percentile, mean interevent time by height per (percentile, min
     length), and the departure surface per (percentile, min length).
     """
     station_dir = Path(station_dir)
@@ -521,34 +527,25 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     if not series_paths:
         raise ValueError(f"no station CSVs found in {station_dir}")
 
+    outcomes = dict(_run_stations(
+        [(p, p.stem) for p in series_paths if p.stem in meta_by_id],
+        meta_by_id, config))
     results: dict[str, dict] = {}
     stations_index: list[dict] = []
     warnings: list[str] = []
-    with ExitStack() as pools:
-        executor = pools.enter_context(_cell_pool(config))
-        for path in series_paths:
-            station_id = path.stem
-            if station_id not in meta_by_id:
-                warnings.append(f"station {station_id}: no metadata, skipped")
-                stations_index.append({"station_id": station_id,
-                                       "status": "skipped_no_metadata"})
-                continue
-            try:
-                series = parse_series(path, station_id=station_id, dt=config.dt)
-                result = run_station(series, meta_by_id[station_id], config,
-                                     executor)
-            except (ValueError, BrokenProcessPool) as exc:
-                warnings.append(f"station {station_id}: {exc}")
-                stations_index.append({"station_id": station_id,
-                                       "status": "failed",
-                                       "message": str(exc)})
-                if isinstance(exc, BrokenProcessPool):
-                    # A broken pool runs nothing more; the stations that
-                    # remain get a fresh one.
-                    executor.shutdown()
-                    executor = pools.enter_context(_cell_pool(config))
-                continue
-            results[station_id] = result
+    for path in series_paths:
+        station_id = path.stem
+        outcome = outcomes.get(station_id)
+        if outcome is None:
+            warnings.append(f"station {station_id}: no metadata, skipped")
+            stations_index.append({"station_id": station_id,
+                                   "status": "skipped_no_metadata"})
+        elif isinstance(outcome, str):
+            warnings.append(f"station {station_id}: {outcome}")
+            stations_index.append({"station_id": station_id,
+                                   "status": "failed", "message": outcome})
+        else:
+            results[station_id] = outcome
             stations_index.append({"station_id": station_id, "status": "ok"})
 
     _write_cross_products(out_root / "cross", results, meta_by_id, config)
@@ -566,6 +563,67 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     }
     _write_json(out_root / "batch.json", batch_summary)
     return batch_summary
+
+
+def _parse_station(path: Path, station_id: str, dt: float) -> SampledSeries:
+    # A station's series, parsed in a pool worker.  ``parse_series`` is
+    # looked up when this runs, so a patched one reaches forked workers.
+    return parse_series(path, station_id=station_id, dt=dt)
+
+
+def _run_stations(stations: list[tuple[Path, str]], meta_by_id: dict,
+                  config: AnalysisConfig):
+    """Parse and run each ``(path, station_id)`` in turn, yielding the
+    station id with its :func:`run_station` result, or with the message
+    of the ``ValueError`` or ``BrokenProcessPool`` that failed it.
+
+    One worker parses inline.  A pool parses station k+1 while station
+    k's cells run: its parse is submitted before them (station 0's and
+    1's before any cell), so at most two parsed series are held.  A
+    broken pool is replaced and fails the station it hit, unless the
+    next station's parse broke with it and so may be what broke it; the
+    station then runs once more on the fresh pool with no parse in
+    flight, and fails only if that breaks too.
+    """
+    with ExitStack() as pools:
+        executor = pools.enter_context(_cell_pool(config))
+        parses = {}   # station index -> future of its parsed series
+
+        def submit_parse(k: int) -> None:
+            if executor is not None and k < len(stations) and k not in parses:
+                parses[k] = executor.submit(_parse_station, *stations[k],
+                                            config.dt)
+
+        for k, (path, station_id) in enumerate(stations):
+            series, alone = None, False
+            while True:
+                try:
+                    if series is None:   # else a rerun alone, cells only
+                        submit_parse(k)
+                        if not alone:
+                            submit_parse(k + 1)
+                        series = (_parse_station(path, station_id, config.dt)
+                                  if executor is None else parses.pop(k).result())
+                    outcome = run_station(series, meta_by_id[station_id],
+                                          config, executor)
+                except ValueError as exc:
+                    outcome = str(exc)
+                except BrokenProcessPool as exc:
+                    # Shutting the broken pool down settles every future
+                    # it held; a parse that broke is submitted again.
+                    executor.shutdown()
+                    executor = pools.enter_context(_cell_pool(config))
+                    broken = [j for j, f in parses.items()
+                              if isinstance(f.exception(), BrokenProcessPool)]
+                    for j in broken:
+                        del parses[j]
+                    if not alone and k + 1 in broken:
+                        alone = True
+                        continue
+                    outcome = str(exc)
+                break
+            series = None
+            yield station_id, outcome
 
 
 def _write_cross_products(cross_dir: Path, results: dict, meta_by_id: dict,

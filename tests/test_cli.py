@@ -188,7 +188,7 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_surrogates": "many"}))
     assert call(["analyze", str(station), "--config", str(cfg),
                  "--seed", "1", "--out", str(out)]) == 1
-    assert "runclust: error:" in capsys.readouterr().err
+    assert "runclust analyze: error:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -437,8 +437,25 @@ def test_af_grid_below_sampling_step_exits_1(tmp_path, capsys):
                                     dt=600.0), events)
     for extra in ([], ["--n-surrogates", "8", "--seed", "1"]):
         assert call(["af", str(events), "--tau-lo", "10"] + extra) == 1, extra
-        assert ("runclust: error: tau grid must not go below the sampling step"
+        assert ("runclust af: error: tau grid must not go below the sampling step"
                 in capsys.readouterr().err), extra
+
+
+def test_late_usage_errors_print_the_subcommand_usage(tmp_path, capsys):
+    # Both grids are checked after parsing: analyze's when the config is
+    # built, af's after the events are read.
+    events = tmp_path / "ev.csv"
+    write_events(MarkedPointProcess(times=[0.0, 6000.0, 9000.0],
+                                    lengths=[1, 1, 1], window_start=0.0,
+                                    window_end=6.0e5, dt=600.0), events)
+    analyze = ["analyze", str(tmp_path / "s.csv"), "--seed", "1", "--out",
+               str(tmp_path / "out")]
+    for argv in (analyze, ["af", str(events)]):
+        command = argv[0]
+        assert call(argv + ["--tau-lo", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: runclust {command} "), err
+        assert f"runclust {command}: error: tau grid must not go below" in err
 
 
 def test_af_missing_sidecar_exits_2(tmp_path, capsys):
@@ -651,6 +668,68 @@ def test_batch_dead_worker_fails_its_station_and_exits_3(tmp_path, capsys,
     thresholds = (out / "cross" / "thresholds_vs_height.csv").read_text()
     assert [row.split(",")[0] for row in thresholds.splitlines()[1:]] == [
         "alpha", "gamma"]
+
+
+def _three_station_batch(tmp_path, workers, out="out"):
+    # Stations alpha, beta and gamma, with metadata; the batch's exit code.
+    stations = tmp_path / "stations"
+    if not stations.is_dir():
+        stations.mkdir()
+        for seed, name in enumerate(("alpha", "beta", "gamma")):
+            render_station(stations / f"{name}.csv", seed=seed + 2,
+                           phase=600.0 * seed)
+        (tmp_path / "meta.csv").write_text(
+            "station_id,height\nalpha,640\nbeta,900\ngamma,1200\n")
+    return call(["batch", str(stations), str(tmp_path / "meta.csv"),
+                 "--out", str(tmp_path / out), "--seed", "11",
+                 "--percentiles", "0.95", "--min-run-lengths", "1", "2",
+                 "--tau-points", "10", "--n-surrogates", "16",
+                 "--workers", str(workers)])
+
+
+def test_batch_dead_parse_worker_fails_its_station_and_exits_3(
+        tmp_path, capsys, monkeypatch):
+    # Parsing station "beta" kills the worker that parses it, while the
+    # pool may still be running alpha's cells or parsing alpha or gamma.
+    parse_series = pipeline.parse_series
+
+    def parse_or_die(path, station_id, dt):
+        if station_id == "beta":
+            os._exit(1)
+        return parse_series(path, station_id=station_id, dt=dt)
+
+    monkeypatch.setattr(pipeline, "parse_series", parse_or_die)
+    code = _three_station_batch(tmp_path, workers=2)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "warning: station beta: A " in err
+    summary = json.loads((tmp_path / "out" / "batch.json").read_text())
+    statuses = {s["station_id"]: s["status"] for s in summary["stations"]}
+    assert statuses == {"alpha": "ok", "beta": "failed", "gamma": "ok"}
+    assert (summary["n_cells"], summary["n_cells_ok"]) == (4, 4)
+    assert not (tmp_path / "out" / "beta").exists()
+
+
+def test_batch_malformed_station_reports_alike_at_any_worker_count(
+        tmp_path, capsys):
+    _three_station_batch(tmp_path, workers=1, out="unused")
+    capsys.readouterr()
+    beta = tmp_path / "stations" / "beta.csv"
+    lines = beta.read_text().splitlines()
+    lines[5] = lines[5].replace("Z,", "Z;")
+    beta.write_text("\n".join(lines) + "\n")
+    reports = []
+    for workers in (1, 2):
+        code = _three_station_batch(tmp_path, workers, out=f"w{workers}")
+        reports.append((code, capsys.readouterr().err,
+                        (tmp_path / f"w{workers}" / "batch.json").read_text()))
+    assert reports[0] == reports[1]
+    code, err, batch = reports[0]
+    assert code == 3
+    assert f"warning: station beta: {beta}, line 6: " in err
+    statuses = {s["station_id"]: s["status"]
+                for s in json.loads(batch)["stations"]}
+    assert statuses == {"alpha": "ok", "beta": "failed", "gamma": "ok"}
 
 
 def test_analyze_dead_worker_exits_3_without_traceback(tmp_path, capsys,

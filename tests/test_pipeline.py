@@ -356,3 +356,46 @@ def test_run_batch_empty_directory(tmp_path):
     meta.write_text("station_id,height\n")
     with pytest.raises(ValueError, match="no station CSVs"):
         run_batch(stations, meta, small_config(tmp_path / "out"))
+
+
+# SHA-256 of every file of the tree below, in `sha256sum` format, at one
+# worker.  A change that means to alter product bytes updates this file
+# and names the changed files.
+PINNED_TREE = Path(__file__).with_name("data") / "batch_tree.sha256"
+# ``config.json`` at two workers: it records the worker count.
+PINNED_CONFIG_W2 = (
+    "7d484bf6c49d4c2e233d89d1c6b32347069dff84ff554d2450177f4c55c39dbd")
+
+
+def _pinned_batch_tree(workers):
+    """The acceptance batch (two stations, 2 percentiles x 2 minimum
+    lengths, 12 taus, 50 surrogates), run in the working directory; the
+    digests of its product tree."""
+    Path("stations").mkdir()
+    for name, seed, phase in [("alpha", 2, 0.0), ("beta", 5, 1200.0)]:
+        spec = SynthSpec.periodic(period=60000.0, window=6.0e6, seed=seed,
+                                  phase=phase, mark_q=0.6)
+        write_series(generate_series(spec, dt=600.0)[0],
+                     Path("stations") / f"{name}.csv")
+    Path("meta.csv").write_text("station_id,height\nalpha,640\nbeta,422\n")
+    # A relative output directory keeps config.json free of the test's path.
+    config = AnalysisConfig(seed=11, output_dir="out",
+                            percentiles=(0.95, 0.975), min_run_lengths=(1, 2),
+                            tau_grid=TauGridSpec(points=12), n_surrogates=50,
+                            workers=workers)
+    assert run_batch("stations", "meta.csv", config)["partial"] is False
+    return tree_hashes("out")
+
+
+def test_batch_tree_matches_pinned_digests(tmp_path, monkeypatch):
+    pinned = dict(line.split()[::-1] for line in
+                  PINNED_TREE.read_text().splitlines())
+    trees = {}
+    for workers in (1, 2):
+        (tmp_path / f"w{workers}").mkdir()
+        monkeypatch.chdir(tmp_path / f"w{workers}")
+        trees[workers] = _pinned_batch_tree(workers)
+    assert trees[1] == pinned
+    assert trees[2].pop("config.json") == PINNED_CONFIG_W2
+    pinned.pop("config.json")
+    assert trees[2] == pinned
