@@ -1,18 +1,22 @@
 """Paired benchmark of the working tree against a parent revision.
 
     python3 tools/bench.py --parent HEAD --pr 18 --workload batch-pool \
-        --seed 1 --pairs 10 [--seconds 30] [--trace 0] [--parent-dir DIR]
+        --seed 1 --pairs 10 [--trace 0]
 
 Runs ``perfbench/run.py`` for one workload and seed ``--pairs`` times
-on each side: the parent revision, checked out with ``git worktree``
-in a temporary directory (or an existing checkout of it given by
-``--parent-dir``), and the working tree.  The sides alternate which
-runs first from one pair to the next.  Each side runs its own
-``perfbench/`` and ``src/``; nothing here imports either.
+on each side, for the ``run_seconds`` that ``BENCHMARK.json`` fixes:
+the parent revision, checked out in a temporary clone, and the working
+tree.  The sides alternate which runs first from one pair to the next.
+Each side runs its own ``perfbench/`` and ``src/``; nothing here
+imports either.  The clone shares the repository's objects and adds
+nothing to the repository itself, so a killed run leaves no entry
+behind in it.
 
 The result is appended to the list of entries in ``BENCH_<pr>.json``
 at the root of the working tree, so every set of pairs run stays on
-record.  An entry names its workload, seed and trace setting.  Per
+record.  An entry names its workload, seed and trace setting, the
+parent revision, and the working tree's ``HEAD`` with the paths that
+differed from it (``git status --porcelain``) when the runs began.  Per
 metric an entry gives each side's values, median and quartiles, the
 pairs the change won (ties count for neither side) and whether the
 change meets the gain rule: it wins at least nine tenths of the pairs
@@ -39,10 +43,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_side(root: Path, args) -> dict:
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_side(root: Path, args, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in checkout ``root``: its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -88,21 +97,16 @@ def compare(runs: dict, spec: dict) -> dict:
 
 
 @contextmanager
-def parent_checkout(rev: str, given: str | None):
-    """A checkout of ``rev``: ``given`` as it is, or a temporary
-    ``git worktree`` removed on exit."""
-    if given is not None:
-        yield Path(given).resolve()
-        return
+def parent_checkout(rev: str):
+    """A checkout of commit ``rev`` in a temporary clone, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         path = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            yield path
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                           cwd=ROOT, check=True, capture_output=True)
+        git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT),
+            str(path))
+        git("checkout", "--quiet", "--detach", rev, cwd=path)
+        if git("rev-parse", "HEAD", cwd=path) != rev:
+            raise RuntimeError(f"the clone in {path} is not at {rev}")
+        yield path
 
 
 def main(argv=None) -> int:
@@ -115,25 +119,23 @@ def main(argv=None) -> int:
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
-    parser.add_argument("--parent-dir", metavar="DIR",
-                        help="an existing checkout of --parent, used instead "
-                             "of a temporary worktree")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
-                         check=True, capture_output=True, text=True).stdout.strip()
+    rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    change = {"head": git("rev-parse", "HEAD"),
+              "modified": git("status", "--porcelain").splitlines()}
     wall = "trace.wall_s" if args.trace else "wall_s"
     runs = {"parent": [], "change": []}
-    with parent_checkout(rev, args.parent_dir) as parent_root:
+    with parent_checkout(rev) as parent_root:
         roots = {"parent": parent_root, "change": ROOT}
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_side(roots[side], args))
+                runs[side].append(run_side(roots[side], args,
+                                           spec["run_seconds"]))
             walls = "  ".join(f"{side} {runs[side][-1]['metrics'][wall]['value']:.3f}"
                               for side in order)
             print(f"pair {k + 1}/{args.pairs}: {walls}", file=sys.stderr)
@@ -142,8 +144,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "trace": args.trace,
-        "seconds": args.seconds,
         "parent_rev": rev,
+        "change": change,
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "sides": {side: {"runs": len(rs),
