@@ -58,7 +58,7 @@ _EDGE_EVENTS_PER_WINDOW = 20
 
 # The surrogate sweep hands _af_grid blocks of about this many event
 # times (the costs by block size are in _af_grid's docstring).
-_BLOCK_EVENTS = 16_000
+_BLOCK_EVENTS = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,39 +128,47 @@ def allan_factor(cp: CountingProcess) -> float:
 
 
 def _dense_sums(rel: np.ndarray, tau: float, n_windows: int,
-                row_bounds: np.ndarray, quotient: np.ndarray, k: np.ndarray,
-                new: np.ndarray) -> tuple[np.ndarray, tuple]:
+                row_bounds: np.ndarray, k: np.ndarray, new: np.ndarray,
+                held: tuple | None) -> tuple[np.ndarray, tuple]:
     # Dense regime for a block of rows at one tau; returns the per-row
-    # integers that _af_grid finishes.  ``quotient``, ``k`` and ``new``
-    # are the caller's buffers, written in place.  Every event gets its
-    # window index in ``k``; an index past the last complete window
-    # belongs to a sentinel window W.  Rounding can carry it to W+1, so
-    # indices are clamped to W when some row's last one (rows are
-    # sorted) exceeds it.  A run break is forced at every row start and
-    # a row's first run is never adjacent to the run before it, so one
-    # run-length pass over the flattened block sums c^2 - c[i]*c[i+1]
-    # over the occupied windows of every row, the sentinel included;
-    # int64 sums are exact.  A row's first run holds its events in
-    # window 0, if any; its last run those in the sentinel or in window
-    # W-1, and the run before a sentinel those in W-1.  Returns the sums
-    # and, per row, the events in window 0, in window W-1 and past it.
-    np.divide(rel, tau, out=quotient)
-    np.copyto(k, quotient, casting="unsafe")
+    # integers that _af_grid finishes.  ``k`` and ``new`` are the
+    # caller's buffers, written in place; ``held`` holds the caller's
+    # run-sized buffers (counts, key steps, adjacency, products, terms),
+    # or is None to allocate them here.  Every event gets its window
+    # index in ``k``, truncated from the quotient as by astype; an index
+    # past the last complete window belongs to a sentinel window W.
+    # Rounding can carry it to W+1, so indices are clamped to W when
+    # some row's last one (rows are sorted) exceeds it.  A run break is
+    # forced at every row start and a row's first run is never adjacent
+    # to the run before it, so one run-length pass over the flattened
+    # block sums c^2 - c[i]*c[i+1] over the occupied windows of every
+    # row, the sentinel included; int64 sums are exact.  A row's first
+    # run holds its events in window 0, if any; its last run those in
+    # the sentinel or in window W-1, and the run before a sentinel those
+    # in W-1.  Returns the sums and, per row, the events in window 0, in
+    # window W-1 and past it.
+    np.divide(rel, tau, out=k, casting="unsafe")
     if k[:, -1].max() > n_windows:
         np.minimum(k, n_windows, out=k)
     flat = k.reshape(-1)
     np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
     new[row_bounds] = True
     bounds = np.flatnonzero(new)
-    counts = bounds[1:] - bounds[:-1]
+    size = bounds.size - 1
+
+    def out(i, length):
+        return None if held is None else held[i][:length]
+
+    counts = np.subtract(bounds[1:], bounds[:-1], out=out(0, size))
     keys = flat[bounds[:-1]]
     ends = np.searchsorted(bounds, row_bounds)
     first, last = ends[:-1], ends[1:] - 1
-    adjacent = keys[1:] - keys[:-1] == 1
+    adjacent = np.equal(np.subtract(keys[1:], keys[:-1], out=out(1, size - 1)),
+                        1, out=out(2, size - 1))
     adjacent[first[1:] - 1] = False
-    products = counts[:-1] * counts[1:]
+    products = np.multiply(counts[:-1], counts[1:], out=out(3, size - 1))
     products *= adjacent
-    terms = counts * counts
+    terms = np.multiply(counts, counts, out=out(4, size))
     terms[:-1] -= products
     runs = np.add.reduceat(terms, first)
 
@@ -219,9 +227,10 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
 
     - *dense*: every event gets its window index, and one run-length
       pass over the whole block sums the occupied windows of every row
-      (``_dense_sums``); its quotient, window-index and run-break
-      buffers, 17 bytes per event, are allocated once per call and
-      written in place at every tau;
+      (``_dense_sums``); its window-index and run-break buffers, 5
+      bytes per event with int32 indices (9 with int64), are allocated
+      once per call and written in place at every tau, and so are its
+      run-sized buffers in a block of at most ``_BLOCK_EVENTS`` events;
     - *edges*: the W+1 window boundaries come from ``searchsorted`` on
       the absolute times, corrected to the same per-event rule
       (``_window_edges``), and the counts are their differences, row by
@@ -240,34 +249,37 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     The dense regime's fixed cost per tau is paid once per block, so the
     surrogate sweep hands over max(1, ``_BLOCK_EVENTS`` // n) rows at a
     time.  Seconds for one ``cell_bands`` sweep (draws, Cv, Lv and the
-    factor) of 1000 surrogates × 60 taus on a 10-year station grid (1200
-    s to a tenth of the span), same machine, by block size B, the best
-    of three fresh processes per cell of the table; the first column is
-    the kernel that allocated its temporaries afresh at every tau, at
-    16k:
+    factor) of 1000 surrogates × 60 taus on a 10-year window (1200 s to
+    a tenth of the span), same machine, by block size B, the best of
+    three fresh processes per cell of the table, with the most minor
+    page faults (``getrusage(RUSAGE_SELF).ru_minflt``) of the three in
+    thousands; the first column is the kernel that held only its
+    quotient, index and run-break buffers, with int64 indices and
+    16,000-event blocks:
 
-    ======  ======  =====  =====  =====  =====  =====
-    n       before  8k     16k    24k    32k    64k
-    ======  ======  =====  =====  =====  =====  =====
-    30      0.05    0.04   0.04   0.04   0.05   0.04
-    100     0.09    0.09   0.09   0.09   0.12   0.11
-    300     0.21    0.21   0.17   0.16   0.28   0.32
-    1,000   0.56    0.58   0.47   0.47   0.76   0.84
-    2,000   1.00    1.07   0.85   0.85   1.31   1.53
-    4,500   2.28    2.82   1.80   1.75   2.57   3.01
-    8,000   3.60    3.96   3.21   3.24   2.98   3.29
-    ======  ======  =====  =====  =====  =====  =====
+    ======  ===========  ==========  ==========  ==========  ==========
+    n       before       16k         32k         64k         128k
+    ======  ===========  ==========  ==========  ==========  ==========
+    30      0.05 (8)     0.04 (2)    0.04 (2)    0.04 (2)    0.04 (2)
+    100     0.13 (33)    0.08 (2)    0.07 (3)    0.07 (3)    0.07 (4)
+    300     0.28 (85)    0.16 (4)    0.19 (29)   0.15 (6)    0.15 (7)
+    1,000   0.78 (223)   0.44 (11)   0.49 (77)   0.41 (17)   0.41 (18)
+    2,000   1.38 (387)   0.83 (24)   0.90 (134)  0.71 (32)   0.71 (34)
+    4,500   2.66 (487)   1.90 (50)   2.06 (238)  1.50 (59)   1.64 (61)
+    8,000   4.89 (1056)  3.36 (93)   3.10 (109)  3.17 (106)  3.25 (108)
+    ======  ===========  ==========  ==========  ==========  ==========
 
-    Holding the buffers does not make larger blocks pay: the run-length
-    pass still allocates its run-sized temporaries (run bounds, counts,
-    keys, products, terms) at every tau, up to 8 bytes per event of the
-    block.  glibc serves allocations of 128 KiB or more from fresh
-    mappings, and its heap trimming keeps handing them back, so each
-    one page-faults again.  Minor faults per sweep
-    (``getrusage(RUSAGE_SELF).ru_minflt``) were at most 1,750 at 16k,
-    and up to 64,000 at 24k, 644,000 at 32k and 1.03 million at 64k.
-    B is 16,000, which keeps every int64 temporary under 128 KiB, so
-    the sweep never pays that price.
+    Through ``run_station`` (the benchmark's ``station-matrix`` round,
+    seed 1: one 10-year station, 3 percentiles × 3 minimum lengths, 60
+    taus, 80 surrogates, one worker), the median of six rounds took
+    0.53 s before, and 0.47, 0.43, 0.39 and 0.39 s at
+    16k, 32k, 64k and 128k.  The run-length pass's temporaries are run-
+    and so block-sized; allocated afresh at every tau, those of 128 KiB
+    or more come from fresh mappings that glibc keeps handing back, and
+    page-fault again each time.  Held for the call, they fault once per
+    block.  B is 65,536: larger blocks gain nothing more.  A single row
+    above B, which only ``af_curve`` on a large process gives, does not
+    hold them, so its peak memory stays that of one tau's runs.
     """
     rows, n = times.shape
     runs = np.zeros((rows, taus.size), dtype=np.int64)
@@ -275,15 +287,26 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     n_windows = np.array([int(duration // tau) for tau in taus], dtype=np.int64)
     edge = (n >= _EDGE_MIN_EVENTS) & (n > _EDGE_EVENTS_PER_WINDOW * n_windows)
     live = (n_windows >= 2) & (n >= 2)
-    if np.any(live & ~edge):
+    dense = live & ~edge
+    if dense.any():
         # Only the dense pass reads every event.  It takes the times
-        # relative to the window start and holds its buffers, 17 bytes
-        # per event, for the block: the quotients, the window indices
-        # and the run breaks.  A call whose taus all take the edge
-        # regime allocates nothing per event.
+        # relative to the window start and holds the window indices and
+        # run breaks for the call: 5 bytes per event with int32 indices,
+        # which hold every index up to W+1 when W+2 < 2**31, else 9.
+        # A block of at most _BLOCK_EVENTS events also holds the
+        # run-sized buffers, 29 or 33 bytes per event; a larger row
+        # allocates them per tau instead, since they need not fit the
+        # whole process.  A call whose taus all take the edge regime
+        # allocates nothing per event.
         rel = times - window_start
-        buffers = (np.empty((rows, n)), np.empty((rows, n), dtype=np.int64),
-                   np.empty(rows * n + 1, dtype=bool))
+        index = np.int32 if n_windows[dense].max() + 2 < 2**31 else np.int64
+        size = rows * n
+        buffers = (np.empty((rows, n), dtype=index),
+                   np.empty(size + 1, dtype=bool),
+                   (np.empty(size, dtype=np.int64), np.empty(size, dtype=index),
+                    np.empty(size, dtype=bool), np.empty(size, dtype=np.int64),
+                    np.empty(size, dtype=np.int64))
+                   if size <= _BLOCK_EVENTS else None)
         row_bounds = np.arange(rows + 1) * n
     for i in np.flatnonzero(live):
         tau, w = taus[i], int(n_windows[i])

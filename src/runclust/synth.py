@@ -247,8 +247,10 @@ _GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333
 # The largest double Generator.random returns.
 _MAX_UNIFORM = 1.0 - 2.0 ** -53
 _MARK_BUCKETS = 4096
-# Doubles per draw; the buffers stay below glibc's mmap threshold for
-# the reason given at allan._BLOCK_EVENTS.
+# Doubles per draw: a chunk's buffers and temporaries stay at or below
+# 64 KiB, under glibc's 128 KiB mmap threshold, so they come from the
+# heap rather than from fresh mappings that page-fault (allan._af_grid's
+# docstring measures that cost).
 _MARK_CHUNK = 8192
 
 

@@ -285,6 +285,77 @@ def test_af_grid_block_rows_exact():
     _assert_rows_exact(big, 0.0, 1e6, taus)
 
 
+def _oracle_af(times, start, window, tau):
+    # Pure Python: the occupied windows' counts in a dict, and the squared
+    # differences of every adjacent pair that holds an occupied window.
+    n_windows = int(window // tau)
+    counts = {}
+    for t in times:
+        j = int((t - start) / tau)
+        if j < n_windows:
+            counts[j] = counts.get(j, 0) + 1
+    m = sum(counts.values())
+    if n_windows < 2 or m < 2:
+        return np.nan
+    pairs = {j for j in counts} | {j - 1 for j in counts}
+    num = sum((counts.get(j + 1, 0) - counts.get(j, 0)) ** 2
+              for j in pairs if 0 <= j <= n_windows - 2)
+    return (num / (n_windows - 1)) / (2.0 * m / n_windows)
+
+
+def test_af_grid_window_index_width(monkeypatch):
+    # The dense regime holds window indices as int32 when every dense
+    # tau's W + 2 stays below 2**31, and as int64 once one does not;
+    # either way every value equals the pure-Python count.  At tau 1 the
+    # events' indices run past 2**31, which int32 could not hold.
+    widths = []
+    dense_sums = allan._dense_sums
+
+    def spy(rel, tau, n_windows, row_bounds, k, *rest):
+        widths.append(k.dtype)
+        return dense_sums(rel, tau, n_windows, row_bounds, k, *rest)
+
+    monkeypatch.setattr(allan, "_dense_sums", spy)
+    start, window = 1500.0, 4.0e9
+    rng = surrogate_rng(41)
+    block = np.sort(rng.random((2, 300)), axis=1) * window + start
+    # Row 1 ends with events past the last complete window at tau 3
+    # (W = 1,333,333,333 covers up to 3,999,999,999 s).
+    block[1, -3:] = start + window - np.array([0.9, 0.5, 0.1])
+    for taus, width in ((np.array([2.0, 3.0, 1e3, 1e6]), np.int32),
+                        (np.array([1.0, 3.0, 1e6]), np.int64)):
+        assert (window // taus[0] + 2 < 2**31) == (width == np.int32)
+        widths.clear()
+        af = allan._af_grid(block, start, window, taus)
+        assert widths and set(widths) == {np.dtype(width)}
+        for r in range(2):
+            expected = [_oracle_af(block[r].tolist(), start, window, tau)
+                        for tau in taus.tolist()]
+            assert af[r].tolist() == expected, (width, r)
+
+
+def test_af_curve_dense_large_row_memory():
+    # The fractal process of the edge-regime test on a grid whose four
+    # finest taus take the dense regime: a row above _BLOCK_EVENTS holds
+    # no run-sized buffers, and its traced peak stays at or below the
+    # 12.2 MB (34.5 B/event) that the kernel with a float quotient buffer
+    # and int64 indices took.
+    pp = generate(SynthSpec.fractal_renewal(0.3, window=1e6, seed=7,
+                                            min_gap=1.0))
+    taus = np.geomspace(10, 1e5, 20)
+    assert pp.n_events > allan._BLOCK_EVENTS
+    assert sum(pp.n_events <= allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
+               for tau in taus) == 4
+    tracemalloc.start()
+    try:
+        curve = af_curve(pp, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.n_defined == taus.size
+    assert peak <= 12.2e6
+
+
 def test_af_curve_undefined_points():
     pp = make_pp([10.0, 20.0], 1000.0)
     curve = af_curve(pp, np.array([100.0, 400.0, 600.0]))

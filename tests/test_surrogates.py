@@ -252,32 +252,38 @@ def test_cell_bands_independent_of_block_size(monkeypatch):
     # The sweep evaluates its surrogates in row blocks; the rows a block
     # holds must not change any value, so the bands are the same for one
     # block of all surrogates, one surrogate per block, and a count that
-    # is not a multiple of the block.
-    pp = make_pp(n=90)
+    # is not a multiple of the block.  At 3,000 events the block of all
+    # surrogates holds more than _BLOCK_EVENTS events, so the kernel
+    # allocates its run-sized buffers per tau there, and holds them for
+    # the smaller blocks.
     taus = np.geomspace(2e3, 4e5, 12)
     n_surrogates = 23
     config = SurrogateConfig(seed=19, n_surrogates=n_surrogates)
-    block = np.stack([poisson_surrogate(pp, 19, stream=i).times
-                      for i in range(n_surrogates)])
-    whole = allan._af_grid(block, pp.window_start, pp.duration, taus)
-    bands = cell_bands(pp, taus, config)
-    for rows in (n_surrogates, 1, 5):
-        sliced = np.vstack([
-            allan._af_grid(block[lo:lo + rows], pp.window_start, pp.duration,
-                           taus)
-            for lo in range(0, n_surrogates, rows)])
-        assert np.array_equal(sliced, whole, equal_nan=True)
+    for n in (90, 3000):
+        assert (n_surrogates * n > allan._BLOCK_EVENTS) == (n == 3000)
+        pp = make_pp(n=n)
+        block = np.stack([poisson_surrogate(pp, 19, stream=i).times
+                          for i in range(n_surrogates)])
+        whole = allan._af_grid(block, pp.window_start, pp.duration, taus)
+        monkeypatch.undo()
+        bands = cell_bands(pp, taus, config)
+        for rows in (n_surrogates, 1, 5):
+            sliced = np.vstack([
+                allan._af_grid(block[lo:lo + rows], pp.window_start,
+                               pp.duration, taus)
+                for lo in range(0, n_surrogates, rows)])
+            assert np.array_equal(sliced, whole, equal_nan=True)
 
-        monkeypatch.setattr(surrogates, "_BLOCK_EVENTS", rows * pp.n_events)
-        cv_band, lv_band, af_band = cell_bands(pp, taus, config)
-        assert (cv_band, lv_band) == bands[:2]
-        for name in ("lo", "hi", "n_samples"):
-            assert np.array_equal(getattr(af_band, name),
-                                  getattr(bands[2], name), equal_nan=True)
-    assert np.all(bands[2].n_samples == n_surrogates)
-    for j in range(taus.size):
-        assert bands[2].lo[j] == linear_quantile(whole[:, j], 0.025)
-        assert bands[2].hi[j] == linear_quantile(whole[:, j], 0.975)
+            monkeypatch.setattr(surrogates, "_BLOCK_EVENTS", rows * n)
+            cv_band, lv_band, af_band = cell_bands(pp, taus, config)
+            assert (cv_band, lv_band) == bands[:2]
+            for name in ("lo", "hi", "n_samples"):
+                assert np.array_equal(getattr(af_band, name),
+                                      getattr(bands[2], name), equal_nan=True)
+        assert np.all(bands[2].n_samples == n_surrogates)
+        for j in range(taus.size):
+            assert bands[2].lo[j] == linear_quantile(whole[:, j], 0.025)
+            assert bands[2].hi[j] == linear_quantile(whole[:, j], 0.975)
 
 
 def test_cell_bands_memory_bounded_by_block():
