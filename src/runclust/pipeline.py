@@ -30,6 +30,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, nullcontext
@@ -575,7 +576,9 @@ def _run_stations(stations: list[tuple[Path, str]], meta_by_id: dict,
                   config: AnalysisConfig):
     """Parse and run each ``(path, station_id)`` in turn, yielding the
     station id with its :func:`run_station` result, or with the message
-    of the ``ValueError`` or ``BrokenProcessPool`` that failed it.
+    of the ``ValueError`` or ``BrokenProcessPool`` that failed it.  A
+    failed station's output directory is removed first, so no events or
+    finished cells are left without a ``summary.json``.
 
     One worker parses inline.  A pool parses station k+1 while station
     k's cells run: its parse is submitted before them (station 0's and
@@ -623,6 +626,11 @@ def _run_stations(stations: list[tuple[Path, str]], meta_by_id: dict,
                     outcome = str(exc)
                 break
             series = None
+            # A file named "..csv" or "...csv" has the stem "." or "..",
+            # which names no directory of the station's own.
+            if isinstance(outcome, str) and station_id not in (".", ".."):
+                shutil.rmtree(Path(config.output_dir) / station_id,
+                              ignore_errors=True)
             yield station_id, outcome
 
 

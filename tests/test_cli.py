@@ -662,8 +662,10 @@ def test_batch_dead_worker_fails_its_station_and_exits_3(tmp_path, capsys,
     assert statuses == {"alpha": "ok", "beta": "failed", "gamma": "ok"}
     assert summary["partial"] is True
     assert (summary["n_cells"], summary["n_cells_ok"]) == (4, 4)
-    # The station after the dead worker ran on a fresh pool, and the cross
-    # products cover the stations that finished.
+    # The failed station leaves no directory behind; the station after
+    # the dead worker ran on a fresh pool, and the cross products cover
+    # the stations that finished.
+    assert not (out / "beta").exists()
     assert (out / "gamma" / "summary.json").is_file()
     thresholds = (out / "cross" / "thresholds_vs_height.csv").read_text()
     assert [row.split(",")[0] for row in thresholds.splitlines()[1:]] == [
