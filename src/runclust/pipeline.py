@@ -107,8 +107,19 @@ class TauGridSpec:
 
     def resolve(self, dt: float, duration: float) -> np.ndarray:
         """The grid for a process sampled every ``dt`` seconds over
-        ``duration`` seconds."""
-        return np.geomspace(*self._edges(dt, duration / 10.0), self.points)
+        ``duration`` seconds.
+
+        Geometric from lo to hi, both exact, with ``lo * (hi/lo) **
+        (i/(points-1))`` between them in scalar float arithmetic: the C
+        library's ``pow`` gives the same bits on every CPU, where
+        ``np.geomspace`` takes other last bits on numpy's AVX-512 loops.
+        """
+        lo, hi = self._edges(dt, duration / 10.0)
+        if self.points == 1:
+            return np.array([lo])
+        ratio, last = hi / lo, self.points - 1
+        return np.array([lo] + [lo * ratio ** (i / last) for i in range(1, last)]
+                        + [hi])
 
     def _edges(self, dt: float, default_hi: float) -> tuple[float, float]:
         # The grid's first and last tau for sampling step ``dt``, with

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,24 @@ def test_tau_grid_spec():
     with pytest.raises(ValueError, match="no sampling step"):
         TauGridSpec().resolve(0.0, 6.0e5)
     assert TauGridSpec(lo=1200.0).resolve(0.0, 6.0e5)[-1] == pytest.approx(6.0e4)
+
+
+def test_tau_grid_same_bytes_without_avx512():
+    # np.geomspace gave some taus other last bits on numpy's AVX-512 loops
+    # than on the C library's pow; the grid must not depend on the loops
+    # numpy picks.
+    script = ("import sys; from runclust import TauGridSpec; "
+              "sys.stdout.write(TauGridSpec().resolve(600.0, 3.15e8).tobytes()"
+              ".hex())")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(pipeline.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    grid = TauGridSpec().resolve(600.0, 3.15e8)
+    assert bytes.fromhex(out) == grid.tobytes()
+    assert np.allclose(grid, np.geomspace(1200.0, 3.15e7, 60), rtol=1e-12, atol=0)
 
 
 def test_analysis_config_validation(tmp_path):
@@ -359,13 +380,11 @@ def test_run_batch_empty_directory(tmp_path):
 
 
 # SHA-256 of every file of the tree below, in `sha256sum` format, at one
-# worker.  numpy's AVX-512 loops and the C library's ``pow``, which
-# numpy uses on CPUs without AVX-512, give some taus of the geometric
-# tau grid different last bits, so the tree has one pinned form for
-# each.  A change that means to alter product bytes updates both files
-# and names the changed files.
-PINNED_TREES = [Path(__file__).with_name("data") / name for name in
-                ("batch_tree.sha256", "batch_tree_no_avx512.sha256")]
+# worker.  The tau grid is built in scalar float arithmetic, so the tree
+# is the same on numpy's AVX-512, AVX2 and baseline loops.  A change that
+# means to alter product bytes updates the file and names the changed
+# files.
+PINNED_TREE = Path(__file__).with_name("data") / "batch_tree.sha256"
 # ``config.json`` at two workers: it records the worker count.
 PINNED_CONFIG_W2 = (
     "7d484bf6c49d4c2e233d89d1c6b32347069dff84ff554d2450177f4c55c39dbd")
@@ -392,17 +411,13 @@ def _pinned_batch_tree(workers):
 
 
 def test_batch_tree_matches_pinned_digests(tmp_path, monkeypatch):
-    forms = [dict(line.split()[::-1] for line in path.read_text().splitlines())
-             for path in PINNED_TREES]
+    pinned = dict(line.split()[::-1]
+                  for line in PINNED_TREE.read_text().splitlines())
     trees = {}
     for workers in (1, 2):
         (tmp_path / f"w{workers}").mkdir()
         monkeypatch.chdir(tmp_path / f"w{workers}")
         trees[workers] = _pinned_batch_tree(workers)
-    # The form this CPU's tau grid gives is the one most files match;
-    # every file must match it.
-    pinned = max(forms, key=lambda form: sum(trees[1].get(name) == digest
-                                             for name, digest in form.items()))
     assert trees[1] == pinned
     assert trees[2].pop("config.json") == PINNED_CONFIG_W2
     pinned.pop("config.json")
