@@ -5,6 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 from runclust import SynthSpec, ThresholdSpec, extract_runs, generate, \
     generate_series, surrogate_rng
 from runclust import synth
@@ -266,9 +271,20 @@ def test_fractal_renewal_times_own_their_buffer():
     assert pp.times.nbytes == 8 * pp.n_events
 
 
+# SHA-256 of every generated process's times then marks, pinned when the
+# generator began to draw in place, by the float64 pow numpy runs for the
+# fractal-renewal intervals' ``**=``: its AVX-512 (X86_V4) loop, or the C
+# library's pow where those loops are absent or disabled (the second
+# form was taken with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR"; the AVX2-only and baseline paths give it too).
+GENERATE_DIGESTS = {
+    True: "b9f39e2355bc88599cd046c0623615c207b25be70aade2119eec82989012b5f7",
+    False: "a4415c07f454062d73e9e5f2e01966904fc3f3aa511bc280578bf5209d01d6e0",
+}
+
+
 def test_generate_digest_unchanged():
-    # SHA-256 of every generated process's times then marks, pinned
-    # when the generator began to draw in place.
+    # Each CPU path must give its own form.
     digest = hashlib.sha256()
     for seed in range(6):
         specs = [SynthSpec.fractal_renewal(alpha, window, seed)
@@ -281,5 +297,5 @@ def test_generate_digest_unchanged():
             pp = generate(spec)
             digest.update(pp.times.tobytes())
             digest.update(pp.lengths.tobytes())
-    assert digest.hexdigest() == ("b9f39e2355bc88599cd046c0623615c2"
-                                  "07b25be70aade2119eec82989012b5f7")
+    assert digest.hexdigest() == GENERATE_DIGESTS[
+        bool(__cpu_features__.get("AVX512_SKX"))]
