@@ -272,14 +272,16 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     Through ``run_station`` (the benchmark's ``station-matrix`` round,
     seed 1: one 10-year station, 3 percentiles × 3 minimum lengths, 60
     taus, 80 surrogates, one worker), the median of six rounds took
-    0.53 s before, and 0.47, 0.43, 0.39 and 0.39 s at
-    16k, 32k, 64k and 128k.  The run-length pass's temporaries are run-
-    and so block-sized; allocated afresh at every tau, those of 128 KiB
-    or more come from fresh mappings that glibc keeps handing back, and
-    page-fault again each time.  Held for the call, they fault once per
-    block.  B is 65,536: larger blocks gain nothing more.  A single row
-    above B, which only ``af_curve`` on a large process gives, does not
-    hold them, so its peak memory stays that of one tau's runs.
+    0.53 s before, and 0.47, 0.43, 0.39 and 0.39 s at 16k, 32k, 64k and
+    128k.
+    The run-length pass's arrays grow with the block.  Allocated afresh
+    at every tau, those of 128 KiB or more come from fresh mappings that
+    glibc keeps handing back, so they page-fault again at every tau;
+    held for the call, they fault once per block.  B is 65,536, past
+    which larger blocks gained nothing.  A single row above B, which
+    only ``af_curve`` on a large process gives, allocates them per tau
+    instead, each the size of that tau's runs rather than of the whole
+    row, which keeps its peak memory below what holding them would take.
     """
     rows, n = times.shape
     runs = np.zeros((rows, taus.size), dtype=np.int64)
@@ -295,9 +297,9 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
         # which hold every index up to W+1 when W+2 < 2**31, else 9.
         # A block of at most _BLOCK_EVENTS events also holds the
         # run-sized buffers, 29 or 33 bytes per event; a larger row
-        # allocates them per tau instead, since they need not fit the
-        # whole process.  A call whose taus all take the edge regime
-        # allocates nothing per event.
+        # leaves them to _dense_sums, sized to each tau's runs.  A call
+        # whose taus all take the edge regime allocates nothing per
+        # event.
         rel = times - window_start
         index = np.int32 if n_windows[dense].max() + 2 < 2**31 else np.int64
         size = rows * n
