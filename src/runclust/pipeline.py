@@ -110,9 +110,10 @@ class TauGridSpec:
         ``duration`` seconds.
 
         Geometric from lo to hi, both exact, with ``lo * (hi/lo) **
-        (i/(points-1))`` between them in scalar float arithmetic: the C
-        library's ``pow`` gives the same bits on every CPU, where
-        ``np.geomspace`` takes other last bits on numpy's AVX-512 loops.
+        (i/(points-1))`` between them in scalar float arithmetic, which
+        calls the C library's ``pow`` whatever SIMD loops numpy runs;
+        ``np.geomspace`` gives some taus other last bits on numpy's
+        AVX-512 loops.
         """
         lo, hi = self._edges(dt, duration / 10.0)
         if self.points == 1:
