@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .allan import DP_CUTOFF, _curve_with_reasons, af_curve, departure, \
     fit_power_law
-from .ingest import parse_series, write_series
+from .ingest import _check_station_id, parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
-    _csv_text, _write_json
+    _af_table, _write_json
 from .runs import _atomic_write_text, read_events, write_events
 from .stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
@@ -92,6 +92,10 @@ def _build_config(parser: _Parser, args) -> AnalysisConfig:
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
+    try:
+        _check_station_id(args.station_id)
+    except ValueError as exc:
+        parser.error(str(exc))
     config = _build_config(parser, args)
     series = parse_series(args.series, station_id=args.station_id,
                           dt=config.dt)
@@ -190,9 +194,11 @@ def _cmd_af(parser: _Parser, args) -> int:
 
     if surrogates is None:
         curve = af_curve(pp, taus)
+        text = _af_table(curve)
     else:
         band = cell_bands(pp, taus, surrogates)[2]
         curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
+        text = _af_table(curve, band, departure(curve, band, args.dp_cutoff))
     if pp.n_events >= 3:
         intervals = interevent_times(pp)
         print(f"n_events={pp.n_events} "
@@ -200,14 +206,6 @@ def _cmd_af(parser: _Parser, args) -> int:
               f"lv={local_coefficient_of_variation(intervals):.6g}")
     else:
         print(f"n_events={pp.n_events} cv=nan lv=nan")
-
-    header = ["tau_seconds", "af"]
-    columns = [taus.tolist(), curve.af.tolist()]
-    if surrogates is not None:
-        dp = dict(departure(curve, band, args.dp_cutoff))
-        header += ["band_lo", "band_hi", "dp"]
-        columns += [band.lo.tolist(), band.hi.tolist(),
-                    [dp.get(t) for t in taus.tolist()]]
 
     if not args.no_fit:
         try:
@@ -218,7 +216,6 @@ def _cmd_af(parser: _Parser, args) -> int:
         except ValueError as exc:
             print(f"fit: {exc}")
 
-    text = _csv_text(header, zip(*columns))
     if args.out:
         _atomic_write_text(Path(args.out), text)
         print(f"wrote {args.out}")

@@ -446,11 +446,20 @@ def write_series(series: SampledSeries, path: str | Path) -> None:
                                  for stamp, value in zip(text.tolist(), values)))
 
 
+def _check_station_id(station_id: str, path=None, line=None) -> None:
+    """Raise ParseError, naming ``path`` and ``line`` if given, unless
+    ``station_id`` names a directory of its own: not empty, ``.`` or
+    ``..``, and without ``/``, ``\\`` or NUL."""
+    if station_id in ("", ".", "..") or any(c in station_id for c in "/\\\0"):
+        raise ParseError(f"station_id {station_id!r} cannot name an output "
+                         "directory", path, line)
+
+
 def parse_station_meta(path: str | Path) -> list[StationMeta]:
     """Parse station metadata from a CSV with header ``station_id,height``.
 
-    A third ``label`` column is optional.  Duplicate station ids and
-    non-numeric or non-finite heights are errors.
+    A third ``label`` column is optional.  Invalid or duplicate station
+    ids and non-numeric or non-finite heights are errors.
     """
     path = Path(path)
     out: list[StationMeta] = []
@@ -472,8 +481,7 @@ def parse_station_meta(path: str | Path) -> list[StationMeta]:
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                                  path, line)
             station_id = row[0].strip()
-            if not station_id:
-                raise ParseError("empty station_id", path, line)
+            _check_station_id(station_id, path, line)
             if station_id in seen:
                 raise ParseError(f"duplicate station_id {station_id!r}", path, line)
             seen.add(station_id)

@@ -11,7 +11,8 @@ instead of aborting the run.
 
 Cells are independent, so a batch distributes them over a bounded
 worker pool, and each cell writes its own products (``stats.json``,
-``af.csv``, ``band.csv``, ``pm.csv``) in the process that evaluates it;
+``af.csv``, ``band.csv``, ``pm.csv``) in the process that evaluates it,
+returning only the fields the station summary and cross products read;
 the parent writes only a station's event lists, while the cells run,
 and its ``summary.json``.  With more than one worker, the same pool
 parses the station series, one station ahead of the cells, so at most
@@ -40,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .allan import DP_CUTOFF, _curve_with_reasons, departure, fit_power_law
-from .ingest import SampledSeries, StationMeta, parse_series, parse_station_meta
+from .ingest import SampledSeries, StationMeta, _check_station_id, parse_series, \
+    parse_station_meta
 from .runs import MarkedPointProcess, _atomic_write_text, _thresholds, \
     extract_runs, filter_by_min_length, write_events
 from .stats import RunLengthDensity, average_density, interevent_times, \
@@ -280,18 +282,13 @@ def _scalar_band_payload(band) -> dict:
 
 def _evaluate_cell(task: dict) -> dict:
     """Evaluate one cell and write its products to ``task["cell_dir"]``,
-    in whichever process runs it; returns the cell's payload."""
-    payload = _cell_payload(task)
-    payload["height_m"] = task["height_m"]
-    _write_cell_outputs(task["cell_dir"], payload)
-    return payload
-
-
-def _cell_payload(task: dict) -> dict:
+    in whichever process runs it; returns the cell's record, the fields
+    the station's cell index and the cross products read."""
     pp: MarkedPointProcess = task["pp"]
     config: AnalysisConfig = task["config"]
-    out = {
+    stats = {
         "station_id": task["station_id"],
+        "height_m": task["height_m"],
         "percentile": task["percentile"],
         "min_run_length": task["min_run_length"],
         "threshold_value": pp.threshold.value if pp.threshold else None,
@@ -301,60 +298,71 @@ def _cell_payload(task: dict) -> dict:
         "seed_cell": task["seed_cell"],
         "n_surrogates": config.n_surrogates,
         "band": list(config.band),
+        "estimators": {"quantile": "linear", "std": "population"},
     }
+    tables, dp = {}, []
     if pp.n_events < config.min_events:
-        out["status"] = "insufficient_events"
-        return out
-    try:
-        taus = task["taus"]
-        density = run_length_density(pp)
-        intervals = interevent_times(pp)
-        cv_band, lv_band, band = cell_bands(
-            pp, taus, SurrogateConfig(seed=task["seed_cell"],
-                                      n_surrogates=config.n_surrogates,
-                                      band=config.band))
-        curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
-        dp = departure(curve, band, config.dp_cutoff)
+        stats["status"] = "insufficient_events"
+    else:
+        try:
+            density = run_length_density(pp)
+            intervals = interevent_times(pp)
+            cv_band, lv_band, band = cell_bands(
+                pp, task["taus"], SurrogateConfig(seed=task["seed_cell"],
+                                                  n_surrogates=config.n_surrogates,
+                                                  band=config.band))
+            curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
+            dp = departure(curve, band, config.dp_cutoff)
 
-        fit_payload = None
-        fit_message = None
-        if config.fit:
-            try:
-                fit = fit_power_law(curve)
-                fit_payload = {
-                    "alpha": fit.alpha,
-                    "tau1_seconds": fit.tau1,
-                    "fit_lo": fit.fit_lo,
-                    "fit_hi": fit.fit_hi,
-                    "r_squared": fit.r_squared,
-                    "n_used": fit.n_used,
-                    "n_excluded": fit.n_excluded,
-                    "detected": fit.detected,
-                }
-            except ValueError as exc:
-                fit_message = str(exc)
+            fit_stats = None
+            fit_message = None
+            if config.fit:
+                try:
+                    fit = fit_power_law(curve)
+                    fit_stats = {
+                        "alpha": fit.alpha,
+                        "tau1_seconds": fit.tau1,
+                        "fit_lo": fit.fit_lo,
+                        "fit_hi": fit.fit_hi,
+                        "r_squared": fit.r_squared,
+                        "n_used": fit.n_used,
+                        "n_excluded": fit.n_excluded,
+                        "detected": fit.detected,
+                    }
+                except ValueError as exc:
+                    fit_message = str(exc)
 
-        out.update({
-            "status": "ok" if curve.n_defined > 0 else "undefined_af",
-            "mean_interevent_seconds": mean_interevent_time(intervals),
-            "density_lengths": density.lengths.tolist(),
-            "density_probs": density.probs.tolist(),
-            "cv": _scalar_band_payload(cv_band),
-            "lv": _scalar_band_payload(lv_band),
-            "taus": taus.tolist(),
-            "af": curve.af.tolist(),
-            "af_reasons": {repr(k): v for k, v in curve.reasons.items()},
-            "band_lo": band.lo.tolist(),
-            "band_hi": band.hi.tolist(),
-            "band_n_samples": band.n_samples.tolist(),
-            "dp": dp,
-            "power_law_fit": fit_payload,
-            "fit_message": fit_message,
-        })
-    except Exception as exc:  # fault isolation: one broken cell never
-        out["status"] = "error"  # takes the rest of the matrix down
-        out["message"] = f"{type(exc).__name__}: {exc}"
-    return out
+            tables = {
+                "af.csv": _af_table(curve, band, dp),
+                "band.csv": _csv_text(
+                    ["tau_seconds", "band_lo", "band_hi", "n_samples"],
+                    zip(band.taus.tolist(), band.lo.tolist(), band.hi.tolist(),
+                        band.n_samples.tolist())),
+                "pm.csv": _csv_text(["m", "probability"],
+                                    zip(density.lengths.tolist(),
+                                        density.probs.tolist())),
+            }
+            stats.update({
+                "status": "ok" if curve.n_defined > 0 else "undefined_af",
+                "mean_interevent_seconds": mean_interevent_time(intervals),
+                "cv": _scalar_band_payload(cv_band),
+                "lv": _scalar_band_payload(lv_band),
+                "af_reasons": {repr(k): v for k, v in curve.reasons.items()},
+                "power_law_fit": fit_stats,
+                "fit_message": fit_message,
+            })
+        except Exception as exc:  # fault isolation: one broken cell never
+            stats["status"] = "error"  # takes the rest of the matrix down
+            stats["message"] = f"{type(exc).__name__}: {exc}"
+            tables, dp = {}, []
+
+    task["cell_dir"].mkdir(parents=True, exist_ok=True)
+    _write_json(task["cell_dir"] / "stats.json", stats)
+    for name, text in tables.items():
+        _atomic_write_text(task["cell_dir"] / name, text)
+    return {"dp": dp, **{key: stats.get(key) for key in (
+        "percentile", "min_run_length", "status", "n_events",
+        "mean_interevent_seconds")}}
 
 
 # ---------------------------------------------------------------------------
@@ -394,30 +402,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write_text(path, _csv_text(header, rows))
 
 
-def _write_cell_outputs(cell_dir: Path, payload: dict) -> None:
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    stats = {k: v for k, v in payload.items()
-             if k not in ("taus", "af", "band_lo", "band_hi", "band_n_samples",
-                          "dp", "density_lengths", "density_probs")}
-    stats["estimators"] = {"quantile": "linear", "std": "population"}
-    _write_json(cell_dir / "stats.json", stats)
-    if payload["status"] in ("insufficient_events", "error"):
-        return
-
-    dp = dict(payload["dp"])
-    af_rows = [
-        (tau, af, lo, hi, dp.get(tau))
-        for tau, af, lo, hi in zip(payload["taus"], payload["af"],
-                                   payload["band_lo"], payload["band_hi"])
-    ]
-    _write_csv(cell_dir / "af.csv",
-               ["tau_seconds", "af", "band_lo", "band_hi", "dp"], af_rows)
-    _write_csv(cell_dir / "band.csv",
-               ["tau_seconds", "band_lo", "band_hi", "n_samples"],
-               zip(payload["taus"], payload["band_lo"], payload["band_hi"],
-                   payload["band_n_samples"]))
-    _write_csv(cell_dir / "pm.csv", ["m", "probability"],
-               zip(payload["density_lengths"], payload["density_probs"]))
+def _af_table(curve, band=None, dp=()) -> str:
+    """CSV text of an Allan-factor curve; with a band, its edges and the
+    departures ``dp`` as ``(tau, value)`` pairs, empty at other taus."""
+    header, columns = ["tau_seconds", "af"], [curve.taus.tolist(), curve.af.tolist()]
+    if band is not None:
+        dp = dict(dp)
+        header += ["band_lo", "band_hi", "dp"]
+        columns += [band.lo.tolist(), band.hi.tolist(),
+                    [dp.get(tau) for tau in columns[0]]]
+    return _csv_text(header, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +438,11 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     this process writes the event lists while the cells run, then the
     summary.
 
-    Returns the station result: the summary dict plus the in-memory
-    pieces a batch needs for cross-station products.
+    Raises ValueError before writing if the station id names no
+    directory of its own.  Returns the summary dict plus the thresholds,
+    densities and cell records a batch reads for cross-station products.
     """
+    _check_station_id(series.station_id)
     taus = config.tau_grid.resolve(series.dt, series.n_samples * series.dt)
     height = meta.height if meta is not None else None
     station_dir = Path(config.output_dir) / series.station_id
@@ -479,20 +475,20 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     station_dir.mkdir(parents=True, exist_ok=True)
     with (_cell_pool(config) if executor is None else nullcontext(executor)) as pool:
         # Pooled cells are all submitted here and run while the events
-        # are written; serial ones run when the payloads are collected.
+        # are written; serial ones run when the records are collected.
         results = (map if pool is None else pool.map)(_evaluate_cell, tasks)
         for pct, pp in processes.items():
             write_events(pp, station_dir / f"events_{percentile_label(pct)}.csv")
-        payloads = list(results)
+        records = list(results)
 
     cells_index = [{
-        "percentile": payload["percentile"],
-        "min_run_length": payload["min_run_length"],
-        "status": payload["status"],
-        "n_events": payload["n_events"],
-        "path": f"{percentile_label(payload['percentile'])}/"
-                f"{run_length_label(payload['min_run_length'])}",
-    } for payload in payloads]
+        "percentile": record["percentile"],
+        "min_run_length": record["min_run_length"],
+        "status": record["status"],
+        "n_events": record["n_events"],
+        "path": f"{percentile_label(record['percentile'])}/"
+                f"{run_length_label(record['min_run_length'])}",
+    } for record in records]
 
     summary = {
         "station_id": series.station_id,
@@ -510,7 +506,7 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
         "summary": summary,
         "densities": densities,
         "thresholds": thresholds,
-        "payloads": payloads,
+        "records": records,
     }
 
 
@@ -525,10 +521,10 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     results).  With more than one worker, each series is parsed in the
     pool that runs the cells, one station ahead of them, so at most two
     parsed series are held at once; see :func:`_run_stations`.
-    Cross-station products land in ``<output_dir>/cross/``: the averaged
-    run-length density and the threshold-vs-height table per
-    percentile, mean interevent time by height per (percentile, min
-    length), and the departure surface per (percentile, min length).
+    Cross-station products land in ``<output_dir>/cross/``: the
+    threshold-vs-height table, and per percentile the averaged run-length
+    density, mean interevent time by height per min length, and one
+    departure table by station, min length and tau.
     """
     station_dir = Path(station_dir)
     out_root = Path(config.output_dir)
@@ -563,7 +559,7 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
 
     _write_cross_products(out_root / "cross", results, meta_by_id, config)
 
-    cell_statuses = [p["status"] for r in results.values() for p in r["payloads"]]
+    cell_statuses = [c["status"] for r in results.values() for c in r["records"]]
     partial = (bool(warnings)
                or any(s != "ok" for s in cell_statuses)
                or not results)
@@ -638,9 +634,7 @@ def _run_stations(stations: list[tuple[Path, str]], meta_by_id: dict,
                     outcome = str(exc)
                 break
             series = None
-            # A file named "..csv" or "...csv" has the stem "." or "..",
-            # which names no directory of the station's own.
-            if isinstance(outcome, str) and station_id not in (".", ".."):
+            if isinstance(outcome, str):
                 shutil.rmtree(Path(config.output_dir) / station_id,
                               ignore_errors=True)
             yield station_id, outcome
@@ -669,19 +663,19 @@ def _write_cross_products(cross_dir: Path, results: dict, meta_by_id: dict,
                        zip(mean_density.lengths.tolist(),
                            mean_density.probs.tolist()))
 
-        cells = [(sid, meta_by_id[sid].height, payload) for sid in station_ids
-                 for payload in results[sid]["payloads"]
-                 if payload["percentile"] == pct]
+        # Station by station, each station's cells in min-length order.
+        cells = [(sid, meta_by_id[sid].height, record) for sid in station_ids
+                 for record in results[sid]["records"]
+                 if record["percentile"] == pct]
         _write_csv(cross_dir / f"mean_interevent_vs_height_{label}.csv",
                    ["station_id", "height_m", "min_run_length",
                     "mean_interevent_seconds"],
                    [(sid, height, p["min_run_length"], p["mean_interevent_seconds"])
                     for sid, height, p in cells
                     if p["status"] in ("ok", "undefined_af")])
-
-        for lm in sorted(config.min_run_lengths):
-            _write_csv(cross_dir / f"departure_{label}_{run_length_label(lm)}.csv",
-                       ["station_id", "height_m", "tau_seconds", "dp"],
-                       [(sid, height, tau, value) for sid, height, p in cells
-                        if p["min_run_length"] == lm and p["status"] == "ok"
-                        for tau, value in p["dp"]])
+        _write_csv(cross_dir / f"departure_{label}.csv",
+                   ["station_id", "height_m", "min_run_length", "tau_seconds",
+                    "dp"],
+                   [(sid, height, p["min_run_length"], tau, value)
+                    for sid, height, p in cells if p["status"] == "ok"
+                    for tau, value in p["dp"]])

@@ -162,6 +162,23 @@ def test_analyze_usage_errors_exit_1(tmp_path, capsys):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+def test_analyze_station_id_naming_no_directory_exits_1_before_reading(
+        tmp_path, capsys):
+    # The series does not exist: reading it would exit 2.
+    ghost = str(tmp_path / "ghost.csv")
+    for station_id in ("", ".", "..", "a/b", "a\\b", "a\0b"):
+        code = call(["analyze", ghost, "--station-id", station_id,
+                     "--out", str(tmp_path / "out"), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1, station_id
+        assert f"station_id {station_id!r} cannot name" in captured.err
+        assert captured.out == ""
+    # A file stem can be ".." too.
+    assert call(["analyze", str(tmp_path / "...csv"), "--out",
+                 str(tmp_path / "out"), "--seed", "1"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
     station = tmp_path / "stn_a.csv"
     render_station(station)
@@ -626,6 +643,50 @@ def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
     assert "0 < lo < hi < 1" in capsys.readouterr().err
     assert not (out / "batch.json").exists()
     assert not out.exists()
+
+
+def test_batch_station_id_naming_no_directory_exits_2_writing_nothing_outside(
+        tmp_path, capsys):
+    # A station file "...csv" has the stem "..": with a ".." metadata row
+    # its products would land in the parent of --out.
+    stations = tmp_path / "stations"
+    stations.mkdir()
+    render_station(stations / "...csv")
+    meta = tmp_path / "meta.csv"
+    meta.write_text("station_id,height\n..,640\n")
+    outer = tmp_path / "outer"
+    code = call(["batch", str(stations), str(meta), "--out", str(outer / "out"),
+                 "--seed", "11", "--percentiles", "0.95",
+                 "--min-run-lengths", "1", "--tau-points", "10",
+                 "--n-surrogates", "16"])
+    assert code == 2
+    assert (f"{meta}, line 2: station_id '..' cannot name an output directory"
+            in capsys.readouterr().err)
+    assert [p.name for p in outer.iterdir()] == ["out"]
+
+
+def test_af_on_a_batch_event_list_gives_the_cell_af_csv(tmp_path, capsys):
+    # The lm01 cell's process is the percentile's whole event list, so
+    # ``af`` with the cell's seed and the batch's grid and surrogate count
+    # writes the cell's af.csv byte for byte.
+    stations = tmp_path / "stations"
+    stations.mkdir()
+    render_station(stations / "alpha.csv")
+    meta = tmp_path / "meta.csv"
+    meta.write_text("station_id,height\nalpha,640\n")
+    out = tmp_path / "out"
+    assert call(["batch", str(stations), str(meta), "--out", str(out),
+                 "--seed", "11", "--percentiles", "0.95",
+                 "--min-run-lengths", "1", "--tau-points", "12",
+                 "--n-surrogates", "40"]) == 0
+    cell = out / "alpha" / "p95" / "lm01"
+    stats = json.loads((cell / "stats.json").read_text())
+    assert stats["status"] == "ok"
+    recomputed = tmp_path / "af.csv"
+    assert call(["af", str(out / "alpha" / "events_p95.csv"), "--tau-points",
+                 "12", "--n-surrogates", "40", "--seed",
+                 str(stats["seed_cell"]), "--out", str(recomputed)]) == 0
+    assert recomputed.read_bytes() == (cell / "af.csv").read_bytes()
 
 
 class _ExitOnUnpickle:

@@ -245,6 +245,14 @@ def test_parse_station_meta_errors(tmp_path):
         assert info.value.line == line
         assert str(info.value).startswith(f"{non_finite}, line {line}: ")
 
+    for station_id in ("", ".", "..", "a/b", "a\\b"):
+        bad_id = _write(tmp_path / "d.csv",
+                        f"station_id,height\nWYN,1\n{station_id},2\n")
+        with pytest.raises(ParseError, match="cannot name an output directory") \
+                as info:
+            parse_station_meta(bad_id)
+        assert info.value.line == 3
+
     bad_header = _write(tmp_path / "c.csv", "id,elevation\nWYN,422\n")
     with pytest.raises(ParseError, match="expected header"):
         parse_station_meta(bad_header)

@@ -206,6 +206,14 @@ def test_run_station_layout_and_fault_isolation(tmp_path):
     assert summary["height_m"] is None
 
 
+def test_run_station_rejects_station_id_naming_no_directory(tmp_path):
+    out = tmp_path / "outer" / "out"
+    for station_id in ("..", "a/b"):
+        with pytest.raises(ValueError, match="cannot name an output directory"):
+            run_station(synth_station(0, station_id), None, small_config(out))
+    assert not (tmp_path / "outer").exists()
+
+
 def test_run_station_rerun_identical(tmp_path):
     series = synth_station(1, "beta")
     out = tmp_path / "out"
@@ -252,12 +260,19 @@ def test_evaluate_cell_writes_its_own_products(tmp_path, monkeypatch):
     statuses = set()
     for task in tasks:
         cell_dir = tmp_path / "direct" / task["cell_dir"].relative_to(tree)
-        payload = pipeline._evaluate_cell({**task, "cell_dir": cell_dir})
-        statuses.add(payload["status"])
+        record = pipeline._evaluate_cell({**task, "cell_dir": cell_dir})
+        # The record holds what the cell index and the cross products read.
+        assert sorted(record) == ["dp", "mean_interevent_seconds",
+                                  "min_run_length", "n_events", "percentile",
+                                  "status"]
+        statuses.add(record["status"])
         files = _cell_files(cell_dir)
         assert sorted(files) == (["af.csv", "band.csv", "pm.csv", "stats.json"]
-                                 if payload["status"] == "ok" else ["stats.json"])
+                                 if record["status"] == "ok" else ["stats.json"])
         assert files == _cell_files(task["cell_dir"])
+        stats = json.loads(files["stats.json"])
+        assert (record["n_events"], record["mean_interevent_seconds"]) == (
+            stats["n_events"], stats.get("mean_interevent_seconds"))
     assert statuses == {"ok", "insufficient_events"}
 
     # A cell whose statistics raise is written as an error, stats only.
@@ -269,9 +284,10 @@ def test_evaluate_cell_writes_its_own_products(tmp_path, monkeypatch):
     tasks = _station_tasks(monkeypatch, series,
                            small_config(broken_tree, min_run_lengths=(1,)))
     cell_dir = tmp_path / "direct_error"
-    payload = pipeline._evaluate_cell({**tasks[0], "cell_dir": cell_dir})
-    assert payload["status"] == "error"
-    assert payload["message"] == "RuntimeError: broken sweep"
+    record = pipeline._evaluate_cell({**tasks[0], "cell_dir": cell_dir})
+    assert (record["status"], record["dp"]) == ("error", [])
+    stats = json.loads((cell_dir / "stats.json").read_text())
+    assert stats["message"] == "RuntimeError: broken sweep"
     assert list(_cell_files(cell_dir)) == ["stats.json"]
     assert _cell_files(cell_dir) == _cell_files(tasks[0]["cell_dir"])
 
@@ -319,9 +335,25 @@ def test_run_batch_products_and_warnings(tmp_path):
     assert mi[0] == "station_id,height_m,min_run_length,mean_interevent_seconds"
     assert len(mi) == 5  # 2 stations x 2 min lengths
 
-    dp = (cross / "departure_p95_lm01.csv").read_text().splitlines()
-    assert dp[0] == "station_id,height_m,tau_seconds,dp"
-    assert len(dp) > 1
+    assert sorted(p.name for p in cross.iterdir()) == [
+        "departure_p95.csv", "mean_interevent_vs_height_p95.csv",
+        "mean_pm_p95.csv", "thresholds_vs_height.csv"]
+    # One departure table per percentile: for each station and min length,
+    # in that order, the taus with a departure in the cell's af.csv.
+    dp = [line.split(",")
+          for line in (cross / "departure_p95.csv").read_text().splitlines()]
+    assert dp[0] == ["station_id", "height_m", "min_run_length", "tau_seconds",
+                     "dp"]
+    expected = []
+    for sid, height in (("s_one", "640.0"), ("s_two", "422.0")):
+        for lm in (1, 2):
+            af = (out / sid / "p95" / run_length_label(lm) / "af.csv")
+            expected += [[sid, height, str(lm), row[0], row[4]]
+                         for row in (line.split(",") for line in
+                                     af.read_text().splitlines()[1:])
+                         if row[4]]
+    assert len(expected) > 0
+    assert dp[1:] == expected
 
     # The averaged density is the arithmetic mean of the per-station
     # unfiltered densities, which the lm01 cells expose verbatim.

@@ -25,6 +25,10 @@ interquartile range.  End-to-end metrics also say whether the change's
 median is within the regression bound ``BENCHMARK.json`` fixes.  Per
 side, an entry counts the runs whose outputs were all correct and the
 operations attempted and failed.
+
+A run that exits non-zero ends the set: the entry is still appended,
+with the pairs finished before it, the failed run's side, pair index,
+exit code and the tail of its stderr, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -49,14 +53,14 @@ def git(*args: str, cwd: Path = ROOT) -> str:
 
 
 def run_side(root: Path, args, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in checkout ``root``: its result line."""
+    """One ``perfbench/run.py`` run in checkout ``root``: its result line,
+    or its exit code and stderr tail if it exited non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited with "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -127,16 +131,27 @@ def main(argv=None) -> int:
               "modified": git("status", "--porcelain").splitlines()}
     wall = "trace.wall_s" if args.trace else "wall_s"
     runs = {"parent": [], "change": []}
+    failed = None
     with parent_checkout(rev) as parent_root:
         roots = {"parent": parent_root, "change": ROOT}
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_side(roots[side], args,
-                                           spec["run_seconds"]))
+                result = run_side(roots[side], args, spec["run_seconds"])
+                if "exit_code" in result:
+                    failed = {"side": side, "pair": k, **result}
+                    break
+                runs[side].append(result)
+            if failed:
+                print(f"pair {k + 1}/{args.pairs}: {failed['side']} exited "
+                      f"{failed['exit_code']}:\n{failed['stderr_tail']}",
+                      file=sys.stderr)
+                break
             walls = "  ".join(f"{side} {runs[side][-1]['metrics'][wall]['value']:.3f}"
                               for side in order)
             print(f"pair {k + 1}/{args.pairs}: {walls}", file=sys.stderr)
+    # The metrics compare finished pairs; the side counts cover every run.
+    pairs = min(len(rs) for rs in runs.values())
 
     entry = {
         "workload": args.workload,
@@ -151,8 +166,11 @@ def main(argv=None) -> int:
                          "attempted": sum(r["attempted"] for r in rs),
                          "failed": sum(r["failed"] for r in rs)}
                   for side, rs in runs.items()},
-        "metrics": compare(runs, spec),
+        "metrics": compare({side: rs[:pairs] for side, rs in runs.items()},
+                           spec) if pairs else {},
     }
+    if failed:
+        entry["failed_run"] = failed
     out = ROOT / f"BENCH_{args.pr}.json"
     bench = (json.loads(out.read_text()) if out.exists()
              else {"pr": args.pr, "entries": []})
@@ -165,7 +183,7 @@ def main(argv=None) -> int:
               f"{m['change']['median']:.6g}  won {m['pairs_won']}/{m['pairs']}",
               file=sys.stderr)
     print(f"wrote {out}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
