@@ -337,12 +337,12 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     return af
 
 
-def _tau_grid(taus, dt: float, allow_empty: bool = False) -> np.ndarray:
+def _tau_grid(taus, dt: float) -> np.ndarray:
     # The one check of a tau grid, shared by the curve and the sweep.
     taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or (taus.size == 0 and not allow_empty):
+    if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau grid must be a non-empty 1-D array")
-    if np.any(taus <= 0) or (taus.size > 1 and np.any(np.diff(taus) <= 0)):
+    if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be positive and strictly ascending")
     if np.any(taus < dt):
         raise ValueError("tau grid must not go below the sampling step")

@@ -19,8 +19,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .allan import DP_CUTOFF, _curve_with_reasons, af_curve, departure, \
-    fit_power_law
+from .allan import _curve_with_reasons, af_curve, departure, fit_power_law
 from .ingest import _check_station_id, parse_series, write_series
 from .pipeline import AnalysisConfig, TauGridSpec, run_batch, run_station, \
     _af_table, _write_json
@@ -55,11 +54,6 @@ _ANALYSIS_FLAGS = {
     "n_surrogates": ("--n-surrogates", dict(type=int, metavar="N")),
     "band_lo": ("--band-lo", dict(type=float, metavar="Q")),
     "band_hi": ("--band-hi", dict(type=float, metavar="Q")),
-    "dp_cutoff": ("--dp-cutoff", dict(type=float, metavar="SECONDS")),
-    "min_events": ("--min-events", dict(type=int, metavar="N")),
-    "threshold_floor": ("--threshold-floor", dict(type=int, metavar="N")),
-    "fit": ("--no-fit", dict(action="store_const", const=False,
-                             help="skip the power-law fit")),
     "dt": ("--dt", dict(type=float, metavar="SECONDS")),
     "workers": ("--workers", dict(type=int, metavar="N")),
 }
@@ -175,46 +169,43 @@ def _cmd_af(parser: _Parser, args) -> int:
     surrogates = None
     if args.n_surrogates < 0 or args.n_surrogates == 1:
         parser.error("--n-surrogates must be 0 or at least 2")
-    if args.n_surrogates:
-        if args.seed is None:
-            parser.error("--seed is required when --n-surrogates > 0")
-        try:
+    if args.n_surrogates and args.seed is None:
+        parser.error("--seed is required when --n-surrogates > 0")
+    try:
+        grid = TauGridSpec(args.tau_lo, args.tau_hi, args.tau_points)
+        if args.n_surrogates:
             surrogates = SurrogateConfig(args.seed, args.n_surrogates,
                                          (args.band_lo, args.band_hi))
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
     pp = read_events(args.events)
-    if args.tau_lo is None and not pp.dt > 0:
-        parser.error("events carry no sampling step; pass --tau-lo/--tau-hi")
     try:
-        taus = TauGridSpec(args.tau_lo, args.tau_hi,
-                           args.tau_points).resolve(pp.dt, pp.duration)
+        taus = grid.resolve(pp.dt, pp.duration)
     except ValueError as exc:
         parser.error(str(exc))
 
     if surrogates is None:
         curve = af_curve(pp, taus)
         text = _af_table(curve)
+        cv = lv = float("nan")
+        if pp.n_events >= 3:
+            intervals = interevent_times(pp)
+            cv = coefficient_of_variation(intervals)
+            lv = local_coefficient_of_variation(intervals)
     else:
-        band = cell_bands(pp, taus, surrogates)[2]
+        cv_band, lv_band, band = cell_bands(pp, taus, surrogates)
         curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
-        text = _af_table(curve, band, departure(curve, band, args.dp_cutoff))
-    if pp.n_events >= 3:
-        intervals = interevent_times(pp)
-        print(f"n_events={pp.n_events} "
-              f"cv={coefficient_of_variation(intervals):.6g} "
-              f"lv={local_coefficient_of_variation(intervals):.6g}")
-    else:
-        print(f"n_events={pp.n_events} cv=nan lv=nan")
+        text = _af_table(curve, band, departure(curve, band))
+        cv, lv = cv_band.observed, lv_band.observed
+    print(f"n_events={pp.n_events} cv={cv:.6g} lv={lv:.6g}")
 
-    if not args.no_fit:
-        try:
-            fit = fit_power_law(curve)
-            print(f"fit: alpha={fit.alpha:.6g} tau1={fit.tau1:.6g}s "
-                  f"r2={fit.r_squared:.4f} n_used={fit.n_used} "
-                  f"detected={fit.detected}")
-        except ValueError as exc:
-            print(f"fit: {exc}")
+    try:
+        fit = fit_power_law(curve)
+        print(f"fit: alpha={fit.alpha:.6g} tau1={fit.tau1:.6g}s "
+              f"r2={fit.r_squared:.4f} n_used={fit.n_used} "
+              f"detected={fit.detected}")
+    except ValueError as exc:
+        print(f"fit: {exc}")
 
     if args.out:
         _atomic_write_text(Path(args.out), text)
@@ -283,9 +274,6 @@ def _make_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--band-lo", type=float, default=SurrogateConfig.band[0])
     p.add_argument("--band-hi", type=float, default=SurrogateConfig.band[1])
-    p.add_argument("--dp-cutoff", type=float, default=DP_CUTOFF,
-                   metavar="SECONDS")
-    p.add_argument("--no-fit", action="store_true")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_af, parser=p)
 

@@ -4,7 +4,7 @@ A station run sweeps the full experiment matrix: for every percentile
 the series is thresholded and its runs extracted once, then for every
 minimum run length the filtered process is characterised (run-length
 density, mean interevent time, Cv and Lv with surrogate bands and
-classifications, Allan-factor curve with band and departure, optional
+classifications, Allan-factor curve with band and departure, and
 power-law fit).  Every (percentile, min length) cell is evaluated in
 isolation: a cell that cannot produce its products records a status
 instead of aborting the run.
@@ -40,14 +40,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .allan import DP_CUTOFF, _curve_with_reasons, departure, fit_power_law
+from .allan import _curve_with_reasons, departure, fit_power_law
 from .ingest import SampledSeries, StationMeta, _check_station_id, parse_series, \
     parse_station_meta
 from .runs import MarkedPointProcess, _atomic_write_text, _thresholds, \
     extract_runs, filter_by_min_length, write_events
 from .stats import RunLengthDensity, average_density, interevent_times, \
     mean_interevent_time, run_length_density
-from .surrogates import SurrogateConfig, cell_bands
+from .surrogates import _MIN_EVENTS, SurrogateConfig, cell_bands
 
 __all__ = [
     "AnalysisConfig",
@@ -63,19 +63,17 @@ __all__ = [
 # Types a config value of each kind may have, and the kind's name in
 # messages.  A bool is no integer or real number here, though Python
 # counts it as both.
-_KINDS = {bool: (bool, "true or false"), int: (numbers.Integral, "an integer"),
+_KINDS = {int: (numbers.Integral, "an integer"),
           float: (numbers.Real, "a real number")}
 
 
 def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
     """Raise TypeError naming config key ``key`` unless ``value`` is of
-    ``kind`` (``bool``, ``int`` or ``float``), or ``None`` and
-    ``optional``."""
+    ``kind`` (``int`` or ``float``), or ``None`` and ``optional``."""
     if optional and value is None:
         return
     accepted, name = _KINDS[kind]
-    if not isinstance(value, accepted) or (kind is not bool
-                                           and isinstance(value, bool)):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise TypeError(f"{key} must be {name}{' or null' if optional else ''}, "
                         f"got {value!r}")
 
@@ -106,6 +104,8 @@ class TauGridSpec:
             raise ValueError("tau grid lo must be positive")
         if self.lo is not None and self.hi is not None and not self.hi >= self.lo:
             raise ValueError("tau grid hi must be >= lo")
+        if self.lo is not None and self.lo == self.hi and self.points > 1:
+            raise ValueError(f"tau grid of {self.points} points needs hi > lo")
 
     def resolve(self, dt: float, duration: float) -> np.ndarray:
         """The grid for a process sampled every ``dt`` seconds over
@@ -121,13 +121,18 @@ class TauGridSpec:
         if self.points == 1:
             return np.array([lo])
         ratio, last = hi / lo, self.points - 1
-        return np.array([lo] + [lo * ratio ** (i / last) for i in range(1, last)]
+        grid = np.array([lo] + [lo * ratio ** (i / last) for i in range(1, last)]
                         + [hi])
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError(f"tau grid of {self.points} points from {lo:g} s "
+                             f"to {hi:g} s is not strictly ascending")
+        return grid
 
     def _edges(self, dt: float, default_hi: float) -> tuple[float, float]:
         # The grid's first and last tau for sampling step ``dt``, with
         # ``default_hi`` as the last unless ``hi`` is set; raises unless
-        # the grid is non-empty and no tau is below ``dt``.
+        # the grid is non-empty, no tau is below ``dt``, and a grid of
+        # more than one point has hi > lo.
         if self.lo is None and not dt > 0:
             raise ValueError("process has no sampling step; supply an explicit grid")
         lo = 2.0 * dt if self.lo is None else self.lo
@@ -137,6 +142,9 @@ class TauGridSpec:
                              f"({lo:g} s < {dt:g} s)")
         if not hi >= lo:
             raise ValueError(f"resolved tau grid is empty (hi {hi:g} s < lo {lo:g} s)")
+        if hi == lo and self.points > 1:
+            raise ValueError(f"tau grid of {self.points} points needs hi > lo "
+                             f"(both {lo:g} s)")
         return lo, hi
 
 
@@ -147,6 +155,12 @@ class AnalysisConfig:
     ``seed`` is the master seed every surrogate substream derives from;
     runs with surrogates always require it.  ``workers`` bounds the
     process pool (``None`` = the machine's CPU count).
+
+    The method itself is fixed, not configured: a cell with fewer than
+    3 events, the fewest the surrogate bands take, is recorded as
+    ``insufficient_events``; thresholds need 100 non-missing samples;
+    departures are read above :data:`~runclust.allan.DP_CUTOFF`; and
+    every cell with a curve gets the power-law fit.
 
     The tau grid, ``n_surrogates`` and ``band`` take their defaults from
     :class:`TauGridSpec` and :class:`SurrogateConfig`.  Every value is
@@ -164,10 +178,6 @@ class AnalysisConfig:
     tau_grid: TauGridSpec = TauGridSpec()
     n_surrogates: int = SurrogateConfig.n_surrogates
     band: tuple[float, float] = SurrogateConfig.band
-    dp_cutoff: float = DP_CUTOFF
-    min_events: int = 3
-    threshold_floor: int = 100
-    fit: bool = True
     dt: float = 600.0
     workers: int | None = None
 
@@ -185,10 +195,6 @@ class AnalysisConfig:
                 ("n_surrogates", self.n_surrogates, int),
                 ("band_lo", self.band[0], float),
                 ("band_hi", self.band[1], float),
-                ("dp_cutoff", self.dp_cutoff, float),
-                ("min_events", self.min_events, int),
-                ("threshold_floor", self.threshold_floor, int),
-                ("fit", self.fit, bool),
                 ("dt", self.dt, float)):
             _check_type(key, value, kind)
         _check_type("workers", self.workers, int, optional=True)
@@ -204,8 +210,6 @@ class AnalysisConfig:
             raise ValueError("minimum run lengths must be >= 1")
         if len(set(self.min_run_lengths)) != len(self.min_run_lengths):
             raise ValueError("duplicate minimum run lengths")
-        if self.min_events < 3:
-            raise ValueError("min_events below 3 cannot support scalar bands")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.dt > 0:
@@ -301,7 +305,7 @@ def _evaluate_cell(task: dict) -> dict:
         "estimators": {"quantile": "linear", "std": "population"},
     }
     tables, dp = {}, []
-    if pp.n_events < config.min_events:
+    if pp.n_events < _MIN_EVENTS:
         stats["status"] = "insufficient_events"
     else:
         try:
@@ -312,25 +316,24 @@ def _evaluate_cell(task: dict) -> dict:
                                                   n_surrogates=config.n_surrogates,
                                                   band=config.band))
             curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
-            dp = departure(curve, band, config.dp_cutoff)
+            dp = departure(curve, band)
 
             fit_stats = None
             fit_message = None
-            if config.fit:
-                try:
-                    fit = fit_power_law(curve)
-                    fit_stats = {
-                        "alpha": fit.alpha,
-                        "tau1_seconds": fit.tau1,
-                        "fit_lo": fit.fit_lo,
-                        "fit_hi": fit.fit_hi,
-                        "r_squared": fit.r_squared,
-                        "n_used": fit.n_used,
-                        "n_excluded": fit.n_excluded,
-                        "detected": fit.detected,
-                    }
-                except ValueError as exc:
-                    fit_message = str(exc)
+            try:
+                fit = fit_power_law(curve)
+                fit_stats = {
+                    "alpha": fit.alpha,
+                    "tau1_seconds": fit.tau1,
+                    "fit_lo": fit.fit_lo,
+                    "fit_hi": fit.fit_hi,
+                    "r_squared": fit.r_squared,
+                    "n_used": fit.n_used,
+                    "n_excluded": fit.n_excluded,
+                    "detected": fit.detected,
+                }
+            except ValueError as exc:
+                fit_message = str(exc)
 
             tables = {
                 "af.csv": _af_table(curve, band, dp),
@@ -451,8 +454,7 @@ def run_station(series: SampledSeries, meta: StationMeta | None,
     densities: dict[float, RunLengthDensity] = {}
     tasks = []
     percentiles = sorted(config.percentiles)
-    for pct, threshold in zip(percentiles, _thresholds(
-            series, percentiles, min_count=config.threshold_floor)):
+    for pct, threshold in zip(percentiles, _thresholds(series, percentiles)):
         pp = extract_runs(series, threshold)
         thresholds[pct] = threshold.value
         processes[pct] = pp
@@ -527,14 +529,13 @@ def run_batch(station_dir: str | Path, meta_path: str | Path,
     departure table by station, min length and tau.
     """
     station_dir = Path(station_dir)
-    out_root = Path(config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    _write_json(out_root / "config.json", config.as_mapping())
-
     meta_by_id = {m.station_id: m for m in parse_station_meta(meta_path)}
     series_paths = sorted(station_dir.glob("*.csv"))
     if not series_paths:
         raise ValueError(f"no station CSVs found in {station_dir}")
+    out_root = Path(config.output_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    _write_json(out_root / "config.json", config.as_mapping())
 
     outcomes = dict(_run_stations(
         [(p, p.stem) for p in series_paths if p.stem in meta_by_id],

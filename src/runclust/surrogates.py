@@ -14,10 +14,10 @@ The observed process rides as the first row of the first block, so the
 sweep also gives its Cv, Lv and Allan-factor curve.  The values land in
 one sample matrix, a column per statistic, and one quantile pass over
 its surrogate rows gives every band edge of the cell: the Cv band, the
-Lv band and the Allan-factor band, always all three (the last with
-empty arrays on an empty tau grid).  Each scalar band carries the
-observed value in ``observed``, and the Allan-factor band the observed
-curve, NaN where the factor is undefined, in ``AfBand.observed``.
+Lv band and the Allan-factor band, always all three.  Each scalar band
+carries the observed value in ``observed``, and the Allan-factor band
+the observed curve, NaN where the factor is undefined, in
+``AfBand.observed``.
 
 Randomness comes from the counter-based Philox generator keyed with
 ``(seed, stream)``, so surrogate i is stream i of the configured seed:
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _MAX_SEED = 2 ** 64
+_MIN_EVENTS = 3   # the fewest a sweep takes: Cv and Lv need two intervals
 
 
 @dataclass(frozen=True)
@@ -226,12 +227,11 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     is checked as in :func:`~runclust.allan.af_curve` before any
     surrogate is drawn.
 
-    Returns ``(cv_band, lv_band, af_band)``; with an empty ``taus`` the
-    Allan-factor band holds empty arrays.
+    Returns ``(cv_band, lv_band, af_band)``.
     """
-    if pp.n_events < 3:
-        raise ValueError("need at least 3 events for scalar bands")
-    taus = _tau_grid(taus, pp.dt, allow_empty=True)
+    if pp.n_events < _MIN_EVENTS:
+        raise ValueError(f"need at least {_MIN_EVENTS} events for scalar bands")
+    taus = _tau_grid(taus, pp.dt)
 
     n, total = pp.n_events, 1 + config.n_surrogates
     span = pp.window_end - pp.window_start

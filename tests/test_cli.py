@@ -194,6 +194,9 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
         (["--dt", "0"], "dt must be positive"),
         (["--tau-lo", "10"], "must not go below the sampling step"),
         (["--tau-hi", "100"], "tau grid is empty"),
+        (["--tau-hi", "1200"], "tau grid of 10 points needs hi > lo"),
+        (["--tau-lo", "1200", "--tau-hi", "1200"],
+         "tau grid of 10 points needs hi > lo"),
     ]
     for extra, message in cases:
         assert call(base + extra) == 1, extra
@@ -215,13 +218,9 @@ def test_analyze_mistyped_config_values_exit_1_naming_the_key(tmp_path, capsys):
     station = tmp_path / "ghost.csv"
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
-    cases = [({"dp_cutoff": "x"}, "dp_cutoff must be a real number"),
-             ({"workers": 1.5}, "workers must be an integer or null"),
+    cases = [({"workers": 1.5}, "workers must be an integer or null"),
              ({"workers": True}, "workers must be an integer or null"),
              ({"n_surrogates": 16.0}, "n_surrogates must be an integer"),
-             ({"min_events": False}, "min_events must be an integer"),
-             ({"threshold_floor": "100"}, "threshold_floor must be an integer"),
-             ({"fit": 1}, "fit must be true or false"),
              ({"dt": True}, "dt must be a real number"),
              ({"band_lo": "0.1"}, "band_lo must be a real number"),
              ({"tau_points": 2.5}, "tau_points must be an integer"),
@@ -229,6 +228,11 @@ def test_analyze_mistyped_config_values_exit_1_naming_the_key(tmp_path, capsys):
              ({"percentiles": 0.95}, "percentiles must be a list"),
              ({"min_run_lengths": [1, 2.5]}, "min_run_lengths must be an integer"),
              ({"output_dir": 3}, "output_dir must be a path")]
+    # The departure cutoff, the event and sample floors and the fit are
+    # the method's constants, not config keys.
+    cases += [({key: value}, "unknown config keys") for key, value in (
+        ("dp_cutoff", 12000.0), ("min_events", 3), ("threshold_floor", 100),
+        ("fit", True))]
     for values, message in cases:
         cfg.write_text(json.dumps({"output_dir": str(out), **values}))
         assert call(["analyze", str(station), "--config", str(cfg),
@@ -367,7 +371,7 @@ def test_af_out_replaces_file_atomically(tmp_path, capsys, monkeypatch):
     call(["synth", "periodic", "--seed", "3", "--period", "6000",
           "--window", "6e6", "--out", str(events)])
     argv = ["af", str(events), "--tau-lo", "1200", "--tau-hi", "60000",
-            "--tau-points", "8", "--no-fit"]
+            "--tau-points", "8"]
     call(argv)
     printed = capsys.readouterr().out.splitlines()
     expected = "\n".join(printed[printed.index("tau_seconds,af"):]) + "\n"
@@ -403,6 +407,8 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
                  "--tau-points", "0"]) == 1
     assert call(["af", str(events), "--tau-lo", "60000",
                  "--tau-hi", "1200"]) == 1
+    assert call(["af", str(events), "--tau-lo", "1200",
+                 "--tau-hi", "1200"]) == 1
     assert call(["af", str(events)] + grid +
                 ["--n-surrogates", "10", "--seed", "-1"]) == 1
     assert call(["af", str(events)] + grid +
@@ -411,9 +417,10 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--seed is required" in err
     assert "must be 0 or at least 2" in err
-    assert "events carry no sampling step" in err
+    assert "no sampling step" in err
     assert "at least 1 point" in err
     assert "hi must be >= lo" in err
+    assert "tau grid of 60 points needs hi > lo" in err
     assert "64-bit unsigned integer" in err
     assert "0 < lo < hi < 1" in err
 
@@ -626,6 +633,9 @@ def test_batch_data_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no station CSVs found" in err
     assert "cannot read file" in err
+    # Both inputs are read before anything is written.
+    assert not (tmp_path / "o1").exists()
+    assert not (tmp_path / "o2").exists()
 
 
 def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
@@ -662,7 +672,7 @@ def test_batch_station_id_naming_no_directory_exits_2_writing_nothing_outside(
     assert code == 2
     assert (f"{meta}, line 2: station_id '..' cannot name an output directory"
             in capsys.readouterr().err)
-    assert [p.name for p in outer.iterdir()] == ["out"]
+    assert not outer.exists()
 
 
 def test_af_on_a_batch_event_list_gives_the_cell_af_csv(tmp_path, capsys):
@@ -687,6 +697,34 @@ def test_af_on_a_batch_event_list_gives_the_cell_af_csv(tmp_path, capsys):
                  "12", "--n-surrogates", "40", "--seed",
                  str(stats["seed_cell"]), "--out", str(recomputed)]) == 0
     assert recomputed.read_bytes() == (cell / "af.csv").read_bytes()
+
+
+def test_batch_config_file_reproduces_the_tree(tmp_path, capsys):
+    # A batch's config.json, given back with another --out, reproduces
+    # every other file of the tree.
+    stations = tmp_path / "stations"
+    stations.mkdir()
+    render_station(stations / "alpha.csv")
+    render_station(stations / "beta.csv", seed=5, phase=1200.0)
+    meta = tmp_path / "meta.csv"
+    meta.write_text("station_id,height\nalpha,640\nbeta,422\n")
+    first, second = tmp_path / "out", tmp_path / "out2"
+    assert call(["batch", str(stations), str(meta), "--out", str(first),
+                 "--seed", "11", "--percentiles", "0.95", "0.975",
+                 "--min-run-lengths", "1", "--tau-points", "10",
+                 "--n-surrogates", "16"]) == 0
+    assert call(["batch", str(stations), str(meta), "--config",
+                 str(first / "config.json"), "--out", str(second)]) == 0
+    capsys.readouterr()
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    trees = tree(first), tree(second)
+    configs = [json.loads(t.pop(Path("config.json"))) for t in trees]
+    assert configs[1] == {**configs[0], "output_dir": str(second)}
+    assert trees[0] == trees[1]
 
 
 class _ExitOnUnpickle:
@@ -829,10 +867,6 @@ FLAG_VALUES = {
     "n_surrogates": (["50"], 50),
     "band_lo": (["0.05"], 0.05),
     "band_hi": (["0.9"], 0.9),
-    "dp_cutoff": (["7000"], 7000.0),
-    "min_events": (["5"], 5),
-    "threshold_floor": (["10"], 10),
-    "fit": ([], False),
     "dt": (["300"], 300.0),
     "workers": (["2"], 2),
 }

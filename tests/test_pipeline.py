@@ -66,6 +66,14 @@ def test_tau_grid_spec():
         TauGridSpec(lo=100.0, hi=10.0)
     with pytest.raises(ValueError, match="empty"):
         TauGridSpec(hi=600.0).resolve(600.0, 6.0e6)
+    # A grid of more than one point must not repeat a tau.
+    with pytest.raises(ValueError, match="60 points needs hi > lo"):
+        TauGridSpec(lo=600.0, hi=600.0)
+    with pytest.raises(ValueError, match="needs hi > lo"):
+        TauGridSpec(hi=1200.0).resolve(600.0, 6.0e6)
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        TauGridSpec(lo=1200.0, hi=float(np.nextafter(1200.0, 2000.0)),
+                    points=3).resolve(600.0, 6.0e6)
 
     single = TauGridSpec(lo=5000.0, hi=9000.0, points=1).resolve(600.0, 6.0e6)
     assert single.tolist() == [5000.0]
@@ -101,8 +109,6 @@ def test_analysis_config_validation(tmp_path):
         small_config(tmp_path, percentiles=(0.95, 0.95))
     with pytest.raises(ValueError, match=">= 1"):
         small_config(tmp_path, min_run_lengths=(0,))
-    with pytest.raises(ValueError, match="min_events"):
-        small_config(tmp_path, min_events=2)
     with pytest.raises(ValueError, match="workers"):
         small_config(tmp_path, workers=0)
     for overrides, message in (({"band": (0.9, 0.1)}, "0 < lo < hi < 1"),
@@ -113,20 +119,24 @@ def test_analysis_config_validation(tmp_path):
                                ({"tau_grid": TauGridSpec(lo=10.0)},
                                 "below the sampling step"),
                                ({"tau_grid": TauGridSpec(hi=100.0)},
-                                "tau grid is empty")):
+                                "tau grid is empty"),
+                               ({"tau_grid": TauGridSpec(hi=1200.0)},
+                                "60 points needs hi > lo")):
         with pytest.raises(ValueError, match=message):
             small_config(tmp_path, **overrides)
-    # The grid may start at the sampling step and end where it starts.
-    small_config(tmp_path, tau_grid=TauGridSpec(lo=600.0, hi=600.0))
-    small_config(tmp_path, tau_grid=TauGridSpec(hi=1200.0))
+    # A one-point grid may start at the sampling step and end where it
+    # starts.
+    small_config(tmp_path, tau_grid=TauGridSpec(lo=600.0, hi=600.0, points=1))
+    small_config(tmp_path, tau_grid=TauGridSpec(hi=1200.0, points=1))
 
 
 def test_analysis_config_type_checks(tmp_path):
     for overrides, message in (({"seed": 1.0}, "seed must be an integer"),
                                ({"seed": True}, "seed must be an integer"),
-                               ({"dp_cutoff": "x"}, "dp_cutoff must be a real"),
+                               ({"dt": "x"}, "dt must be a real"),
                                ({"workers": 1.5}, "workers must be an integer"),
-                               ({"fit": None}, "fit must be true or false"),
+                               ({"n_surrogates": None},
+                                "n_surrogates must be an integer"),
                                ({"band": (0.1, "0.9")}, "band_hi must be a real"),
                                ({"band": (0.1,)}, "band must be a pair"),
                                ({"percentiles": (0.9, True)},
@@ -139,7 +149,7 @@ def test_analysis_config_type_checks(tmp_path):
         TauGridSpec(hi="1e5")
     # Integers are real numbers, and numpy scalars are numbers too.
     config = small_config(tmp_path, seed=np.int64(7), dt=600,
-                          dp_cutoff=np.float64(3e5), workers=np.int32(2),
+                          band=(np.float64(0.05), 0.95), workers=np.int32(2),
                           percentiles=(np.float64(0.95),))
     assert config.as_mapping()["dt"] == 600
 
@@ -158,6 +168,11 @@ def test_analysis_config_mapping_round_trip(tmp_path):
 
     with pytest.raises(ValueError, match="unknown config keys"):
         AnalysisConfig.from_mapping({"seed": 1, "output_dir": "x", "bogus": 2})
+    # The method's constants are no config keys.
+    assert len(config.as_mapping()) == 12
+    for key in ("dp_cutoff", "min_events", "threshold_floor", "fit"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            AnalysisConfig.from_mapping({"seed": 1, "output_dir": "x", key: 3})
     with pytest.raises(ValueError, match="requires a seed"):
         AnalysisConfig.from_mapping({"output_dir": "x"})
     with pytest.raises(ValueError, match="requires an output_dir"):
@@ -419,7 +434,7 @@ def test_run_batch_empty_directory(tmp_path):
 PINNED_TREE = Path(__file__).with_name("data") / "batch_tree.sha256"
 # ``config.json`` at two workers: it records the worker count.
 PINNED_CONFIG_W2 = (
-    "7d484bf6c49d4c2e233d89d1c6b32347069dff84ff554d2450177f4c55c39dbd")
+    "b9e6f1803a5b23aa9a6e69a62f2a663f8f70695ec9337183e759555c601e61b2")
 
 
 def _pinned_batch_tree(workers):

@@ -14,7 +14,8 @@ from runclust.stats import coefficient_of_variation, interevent_times, \
 from runclust.synth import SynthSpec, generate
 
 
-NO_TAUS = np.empty(0)
+# A grid for tests that read only the Cv and Lv bands.
+ONE_TAU = np.array([1e4])
 
 
 def linear_quantile(values: np.ndarray, p: float) -> float:
@@ -84,7 +85,7 @@ def test_surrogate_cv_distribution_mean_near_one():
 def test_scalar_band_matches_quantile_rule():
     pp = make_pp(n=80)
     config = SurrogateConfig(seed=11, n_surrogates=64)
-    _, band, _ = cell_bands(pp, NO_TAUS, config)
+    _, band, _ = cell_bands(pp, ONE_TAU, config)
 
     samples = np.empty(64)
     for i in range(64):
@@ -103,16 +104,16 @@ def test_scalar_band_classifications():
                                        in_cluster_rate=0.05,
                                        mean_cluster_size=8.0,
                                        window=1e6, seed=89))
-    cv_band, _, _ = cell_bands(bursty, NO_TAUS, config)
+    cv_band, _, _ = cell_bands(bursty, ONE_TAU, config)
     assert cv_band.classification == "clustered"
 
     periodic = generate(SynthSpec.periodic(period=3600.0, window=1e6, seed=1))
-    band, _, _ = cell_bands(periodic, NO_TAUS, config)
+    band, _, _ = cell_bands(periodic, ONE_TAU, config)
     assert band.observed == 0.0
     assert band.classification == "quasi-periodic"
 
     poisson = generate(SynthSpec.poisson(rate=5e-4, window=1e6, seed=97))
-    cv_band, lv_band, _ = cell_bands(poisson, NO_TAUS, config)
+    cv_band, lv_band, _ = cell_bands(poisson, ONE_TAU, config)
     assert cv_band.classification == "poissonian"
     assert lv_band.classification == "poissonian"
 
@@ -121,14 +122,14 @@ def test_scalar_band_validation():
     pp = make_pp(n=2)
     config = SurrogateConfig(seed=11, n_surrogates=8)
     with pytest.raises(ValueError, match="at least 3 events"):
-        cell_bands(pp, NO_TAUS, config)
+        cell_bands(pp, ONE_TAU, config)
 
 
 def test_band_widening_never_narrows():
     pp = make_pp(n=60)
-    narrow, _, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+    narrow, _, _ = cell_bands(pp, ONE_TAU, SurrogateConfig(
         seed=3, n_surrogates=100, band=(0.1, 0.9)))
-    wide, _, _ = cell_bands(pp, NO_TAUS, SurrogateConfig(
+    wide, _, _ = cell_bands(pp, ONE_TAU, SurrogateConfig(
         seed=3, n_surrogates=100, band=(0.025, 0.975)))
     assert wide.lo <= narrow.lo and wide.hi >= narrow.hi
 
@@ -136,7 +137,7 @@ def test_band_widening_never_narrows():
 def test_two_surrogate_band_follows_rank_rule():
     pp = make_pp(n=40)
     config = SurrogateConfig(seed=5, n_surrogates=2)
-    band, _, _ = cell_bands(pp, NO_TAUS, config)
+    band, _, _ = cell_bands(pp, ONE_TAU, config)
     samples = np.sort([coefficient_of_variation(
         np.diff(poisson_surrogate(pp, 5, stream=i).times)) for i in range(2)])
     # One-based rank p*(n-1)+1 with n=2 interpolates just inside min/max.
@@ -186,14 +187,16 @@ def test_af_band_partially_defined_taus_use_defined_values():
     assert np.isnan(band.lo[2]) and np.isnan(band.hi[2])
 
 
-def test_cell_bands_empty_grid_gives_empty_af_band():
+def test_cell_bands_scalar_bands_do_not_depend_on_grid():
     pp = make_pp(n=60)
     config = SurrogateConfig(seed=3, n_surrogates=20)
-    cv_band, lv_band, af_band = cell_bands(pp, NO_TAUS, config)
-    for name in ("taus", "lo", "hi", "n_samples"):
-        assert getattr(af_band, name).shape == (0,)
-    banded = cell_bands(pp, np.geomspace(1e4, 1e5, 4), config)
+    cv_band, lv_band, af_band = cell_bands(pp, ONE_TAU, config)
+    for name in ("taus", "lo", "hi", "n_samples", "observed"):
+        assert getattr(af_band, name).shape == (1,)
+    banded = cell_bands(pp, np.geomspace(2e4, 1e5, 4), config)
     assert (cv_band, lv_band) == banded[:2]
+    with pytest.raises(ValueError, match="non-empty"):
+        cell_bands(pp, np.empty(0), config)
 
 
 def test_cell_bands_observed_row_matches_curve():
@@ -214,10 +217,6 @@ def test_cell_bands_observed_row_matches_curve():
         intervals = interevent_times(pp)
         assert cv_band.observed == coefficient_of_variation(intervals)
         assert lv_band.observed == local_coefficient_of_variation(intervals)
-
-    # An empty grid has no observed values.
-    band = cell_bands(dense, NO_TAUS, SurrogateConfig(seed=5, n_surrogates=6))[2]
-    assert band.observed.shape == (0,)
 
 
 def test_cell_bands_golden():
@@ -364,7 +363,7 @@ def test_surrogate_streams_match_surrogate_rng():
                             lengths=np.ones(n, dtype=int), window_start=start,
                             window_end=start + span, dt=0.0)
     config = SurrogateConfig(seed=11, n_surrogates=40)
-    cv_band, _, _ = cell_bands(pp, NO_TAUS, config)
+    cv_band, _, _ = cell_bands(pp, ONE_TAU, config)
     cvs = [coefficient_of_variation(np.diff(poisson_surrogate(pp, 11, i).times))
            for i in range(40)]
     assert cv_band.lo == linear_quantile(cvs, 0.025)
