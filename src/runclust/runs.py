@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,8 +93,12 @@ class MarkedPointProcess:
         lengths = np.asarray(self.lengths, dtype=np.int64)
         if times.ndim != 1 or lengths.shape != times.shape:
             raise ValueError("times and lengths must be matching 1-D arrays")
+        if not (np.isfinite(self.window_start) and np.isfinite(self.window_end)):
+            raise ValueError("window edges must be finite")
         if not self.window_end > self.window_start:
             raise ValueError("window must have positive duration")
+        if not np.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.dt < 0:
             raise ValueError("dt must be >= 0")
         if self.min_run_length < 1:
@@ -101,9 +106,15 @@ class MarkedPointProcess:
         if not 0.0 <= self.gap_fraction <= 1.0:
             raise ValueError("gap_fraction must lie in [0, 1]")
         if times.size:
-            if np.any(times[1:] <= times[:-1]):
-                raise ValueError("event times must be strictly increasing")
-            if times[0] < self.window_start or times[-1] >= self.window_end:
+            # A NaN compares false, so one anywhere fails this test too;
+            # only a failure pays for finding which rule was broken.
+            if not ((times[1:] > times[:-1]).all()
+                    and self.window_start <= times[0]
+                    and times[-1] < self.window_end):
+                if np.isnan(times).any():
+                    raise ValueError("event times must be finite")
+                if np.any(times[1:] <= times[:-1]):
+                    raise ValueError("event times must be strictly increasing")
                 raise ValueError("event times must lie inside the window")
             shortest = lengths.min()
             if shortest < 1:
@@ -273,6 +284,13 @@ def read_events(path: str | Path) -> MarkedPointProcess:
         if not isinstance(meta[key], (int, float)) or isinstance(meta[key], bool):
             raise ParseError(f"{key!r} must be a number, got {meta[key]!r}",
                              sidecar)
+        try:
+            finite = math.isfinite(meta[key])
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ParseError(f"{key!r} must be finite, got {meta[key]!r}",
+                             sidecar)
 
     times: list[float] = []
     lengths: list[int] = []
@@ -296,6 +314,10 @@ def read_events(path: str | Path) -> MarkedPointProcess:
     # The process checks these too, but only a row here can name its line.
     start, end = meta["window_start"], meta["window_end"]
     event_times = np.asarray(times, dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(event_times))
+    if nonfinite.size:
+        raise ParseError("event time must be finite", path,
+                         row_lines[nonfinite[0]])
     unordered = np.flatnonzero(event_times[1:] <= event_times[:-1])
     if unordered.size:
         raise ParseError("event times must be strictly increasing", path,

@@ -285,6 +285,69 @@ def test_af_grid_block_rows_exact():
     _assert_rows_exact(big, 0.0, 1e6, taus)
 
 
+def test_af_grid_skip_pass_exact(monkeypatch):
+    # With the floor at 0 every block takes the skip pass, which drops
+    # the events whose window index steps by at least 2 to both
+    # neighbours and adds 1 per dropped event to its row.  Every row
+    # keeps the bits of the definition on its own.
+    monkeypatch.setattr(allan, "_SKIP_MIN_EVENTS", 0)
+    calls = []
+    kept_events = allan._kept_events
+
+    def spy(flat, *rest):
+        kept = kept_events(flat, *rest)
+        calls.append(kept[0].size / flat.size)
+        return kept
+
+    monkeypatch.setattr(allan, "_kept_events", spy)
+    window = 100.0
+    # At tau 1 (W = 100) and tau 3 (W = 33, windows up to 99 s, the
+    # sentinel past it): rows whose neighbours across the row boundary
+    # are at least 2 windows away, so only the forced row ends keep
+    # the all-alone row's first and last event.
+    block = np.array([
+        [0.5, 1.5, 2.5, 3.5, 4.5, 5.5],          # adjacent windows, ends low
+        [12.5, 25.5, 37.5, 50.5, 62.5, 75.5],    # every event alone
+        [80.5, 81.5, 90.5, 92.5, 95.5, 99.5],    # 1 and 2 apart, starts high
+        [10.5, 11.5, 20.5, 22.5, 30.5, 40.5],    # 1 and 2 windows apart
+        [0.2, 5.5, 20.5, 50.5, 96.5, 99.5],      # alone in window 0; W-1 and
+                                                 # the sentinel at tau 3
+        [0.2, 30.5, 60.5, 90.5, 93.5, 99.5],     # alone in W-2, past W at 3
+        [3.5, 9.5, 30.5, 61.5, 96.5, 97.5],      # two in W-1 at tau 3
+    ])
+    taus = np.array([0.5, 1.0, 2.0, 3.0, 7.0, 15.0])
+    for ordered in (block, block[::-1], block[1:4]):
+        calls.clear()
+        allan._af_grid(ordered, 0.0, window, taus)
+        assert calls and min(calls) < 1.0
+        _assert_rows_exact(ordered, 0.0, window, taus)
+
+    # A block whose kept share crosses _SKIP_KEPT_SHARE partway through
+    # its grid: the skip pass runs up to the first tau over it, and the
+    # rest of the grid takes the plain pass.
+    rng = surrogate_rng(23)
+    block = np.sort(rng.random((40, 50)), axis=1) * window
+    taus = np.geomspace(0.1, 30.0, 25)
+    calls.clear()
+    allan._af_grid(block, 0.0, window, taus)
+    over = [share > allan._SKIP_KEPT_SHARE for share in calls]
+    assert 1 < len(calls) < taus.size and over[-1] and not any(over[:-1])
+    _assert_rows_exact(block, 0.0, window, taus)
+
+    # The floor counts the events of the block, and a row above
+    # _BLOCK_EVENTS, which holds no run-sized buffers, never skips.
+    for floor, skips in ((block.size, True), (block.size + 1, False)):
+        monkeypatch.setattr(allan, "_SKIP_MIN_EVENTS", floor)
+        calls.clear()
+        allan._af_grid(block, 0.0, window, taus)
+        assert bool(calls) == skips
+    monkeypatch.setattr(allan, "_SKIP_MIN_EVENTS", 0)
+    big = np.sort(rng.random((1, allan._BLOCK_EVENTS + 1)), axis=1) * 1e9
+    calls.clear()
+    _assert_rows_exact(big, 0.0, 1e9, np.array([100.0]))
+    assert not calls
+
+
 def _oracle_af(times, start, window, tau):
     # Pure Python: the occupied windows' counts in a dict, and the squared
     # differences of every adjacent pair that holds an occupied window.

@@ -547,8 +547,12 @@ def test_af_events_out_of_order_or_window_name_file_and_line(tmp_path, capsys):
     swapped[2], swapped[3] = swapped[3], swapped[2]
     late = list(good)
     late[4] = "600000.0,1"
+    # A NaN time passes every ordering and window comparison.
+    undefined = list(good)
+    undefined[3] = "nan,2"
     for rows, line, message in ((swapped, 4, "event times must be strictly increasing"),
-                                (late, 5, "event time outside the window")):
+                                (late, 5, "event time outside the window"),
+                                (undefined, 4, "event time must be finite")):
         events.write_text("\n".join(rows) + "\n")
         assert call(["af", str(events), "--tau-points", "4"]) == 2
         assert (f"data error: {events}, line {line}: {message}"
@@ -556,10 +560,14 @@ def test_af_events_out_of_order_or_window_name_file_and_line(tmp_path, capsys):
 
     sidecar = tmp_path / "e.json"
     meta = json.loads(sidecar.read_text())
-    sidecar.write_text(json.dumps({**meta, "window_end": "6e5"}))
-    assert call(["af", str(events), "--tau-points", "4"]) == 2
-    assert (f"data error: {sidecar}: 'window_end' must be a number, got '6e5'"
-            in capsys.readouterr().err)
+    for key, value, message in (("window_end", "6e5", "must be a number, got '6e5'"),
+                                ("dt", float("nan"), "must be finite, got nan"),
+                                ("window_end", float("inf"), "must be finite, got inf"),
+                                ("window_end", 10**400, f"must be finite, got {10**400}")):
+        sidecar.write_text(json.dumps({**meta, key: value}))
+        assert call(["af", str(events), "--tau-points", "4"]) == 2
+        assert (f"data error: {sidecar}: {key!r} {message}"
+                in capsys.readouterr().err)
 
 
 def test_af_undefined_everywhere_exits_3(tmp_path, capsys):

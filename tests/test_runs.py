@@ -193,6 +193,22 @@ def test_point_process_invariants():
     with pytest.raises(ValueError, match="past the window end"):
         MarkedPointProcess(times=[1200.0], lengths=[10],
                            window_start=0.0, window_end=3000.0, dt=600.0)
+    # NaN passes every ordering and window comparison written as a
+    # rejection, so a non-finite value needs a rule of its own.
+    nan, inf = float("nan"), float("inf")
+    for change, message in (({"times": [10.0, nan]}, "event times must be finite"),
+                            ({"times": [nan, 20.0]}, "event times must be finite"),
+                            ({"times": [nan], "lengths": [1]},
+                             "event times must be finite"),
+                            ({"times": [10.0, inf]}, "inside the window"),
+                            ({"window_start": nan}, "window edges must be finite"),
+                            ({"window_end": inf}, "window edges must be finite"),
+                            ({"dt": nan}, "dt must be finite"),
+                            ({"dt": inf}, "dt must be finite")):
+        fields = {"times": [10.0, 20.0], "lengths": [1, 1], "window_start": 0.0,
+                  "window_end": 100.0, "dt": 0.0, **change}
+        with pytest.raises(ValueError, match=message):
+            MarkedPointProcess(**fields)
 
 
 def test_oracle_equivalence_random_sweep():

@@ -254,19 +254,23 @@ def test_cell_bands_independent_of_block_size(monkeypatch):
     # is not a multiple of the block.  At 3,000 events the block of all
     # surrogates holds more than _BLOCK_EVENTS events, so the kernel
     # allocates its run-sized buffers per tau there, and holds them for
-    # the smaller blocks.
-    taus = np.geomspace(2e3, 4e5, 12)
+    # the smaller blocks; blocks of 2 and 3 rows sit either side of the
+    # floor of the skip pass, which only held buffers take.  The four
+    # finest taus leave most events alone in their windows.
+    taus = np.concatenate((np.geomspace(20.0, 1e3, 4), np.geomspace(2e3, 4e5, 12)))
     n_surrogates = 23
     config = SurrogateConfig(seed=19, n_surrogates=n_surrogates)
-    for n in (90, 3000):
+    for n, straddle in ((90, ()), (3000, (2, 3))):
         assert (n_surrogates * n > allan._BLOCK_EVENTS) == (n == 3000)
+        if straddle:
+            assert 2 * n < allan._SKIP_MIN_EVENTS <= 3 * n
         pp = make_pp(n=n)
         block = np.stack([poisson_surrogate(pp, 19, stream=i).times
                           for i in range(n_surrogates)])
         whole = allan._af_grid(block, pp.window_start, pp.duration, taus)
         monkeypatch.undo()
         bands = cell_bands(pp, taus, config)
-        for rows in (n_surrogates, 1, 5):
+        for rows in (n_surrogates, 1, 5) + straddle:
             sliced = np.vstack([
                 allan._af_grid(block[lo:lo + rows], pp.window_start,
                                pp.duration, taus)

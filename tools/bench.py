@@ -34,6 +34,7 @@ exit code and the tail of its stderr, and the tool exits 1.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -100,6 +101,23 @@ def compare(runs: dict, spec: dict) -> dict:
     return out
 
 
+def host() -> dict:
+    """The machine and the runtime the runs share.  Kernel timings, and
+    which SIMD loops numpy runs, depend on the numpy version and on
+    whether the CPU has AVX-512 (``None`` where ``/proc/cpuinfo`` cannot
+    be read); the version is read from the package metadata, so numpy
+    is not imported here."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        avx512f = None
+    else:
+        avx512f = "avx512f" in flags
+    return {"cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"), "avx512f": avx512f}
+
+
 @contextmanager
 def parent_checkout(rev: str):
     """A checkout of commit ``rev`` in a temporary clone, removed on exit."""
@@ -159,8 +177,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "parent_rev": rev,
         "change": change,
-        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version()},
+        "host": host(),
         "sides": {side: {"runs": len(rs),
                          "correct_runs": sum(r["correct"] for r in rs),
                          "attempted": sum(r["attempted"] for r in rs),
