@@ -1,8 +1,11 @@
 """Allan factor of a marked point process.
 
-Events are counted in contiguous windows of duration tau tiling the
-observation window; the Allan factor at tau is the mean squared
-difference of adjacent counts over twice the mean count.  A Poisson
+Events are counted in the complete windows of duration tau tiling the
+observation window from its start, an event at t in window
+``floor((t - window_start)/tau)``; the Allan factor at tau is the mean
+squared difference of adjacent counts over twice the mean count, as the
+tests' oracle ``allan_factor(window_counts(pp, tau))`` in
+``tests/oracles.py`` computes it with plain arrays.  A Poisson
 process stays near 1 at every tau; time-clustered processes rise with
 tau, and over a scaling regime the rise follows a power law
 ``AF(tau) = 1 + (tau/tau1)**alpha`` whose exponent is fitted in log-log
@@ -25,8 +28,8 @@ both neighbouring windows empty; each adds exactly 1 to its row's sum,
 so in a block of at least 8,000 events the dense regime counts those
 from their window indices and runs its run-length pass on the others
 only, until the first tau at which more than half the events are kept.
-Both regimes give every row the same bits as
-``allan_factor(counting_process(pp, tau))`` on that row alone.
+Both regimes give every row the same bits as the definition above on
+that row alone.
 """
 
 from __future__ import annotations
@@ -39,12 +42,9 @@ from .runs import MarkedPointProcess
 
 __all__ = [
     "AfCurve",
-    "CountingProcess",
     "DP_CUTOFF",
     "PowerLawFit",
     "af_curve",
-    "allan_factor",
-    "counting_process",
     "default_fit_range",
     "departure",
     "fit_power_law",
@@ -71,72 +71,6 @@ _BLOCK_EVENTS = 65_536
 # the events is kept (the costs are in _af_grid's docstring).
 _SKIP_MIN_EVENTS = 8000
 _SKIP_KEPT_SHARE = 0.5
-
-
-@dataclass(frozen=True, eq=False)
-class CountingProcess:
-    """Counts of events in successive windows of duration ``tau`` seconds.
-
-    Windows tile the observation window from its start; events past the
-    last complete window are dropped, so ``counts.sum()`` can be smaller
-    than the number of events.
-    """
-
-    tau: float
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("counts must be 1-D")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_windows(self) -> int:
-        return self.counts.size
-
-
-def counting_process(pp: MarkedPointProcess, tau: float) -> CountingProcess:
-    """Count events in contiguous windows of duration ``tau``.
-
-    ``tau`` must be positive, at least the sampling step of the process,
-    and short enough that the observation window holds two complete
-    counting windows.  An event at time t lands in window
-    ``floor((t - window_start)/tau)``.
-    """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if tau < pp.dt:
-        raise ValueError("tau must be at least the sampling step")
-    n_windows = int(pp.duration // tau)
-    if n_windows < 2:
-        raise ValueError("observation window must span at least two counting windows")
-    idx = ((pp.times - pp.window_start) / tau).astype(np.int64)
-    idx = idx[idx < n_windows]
-    return CountingProcess(tau=float(tau),
-                           counts=np.bincount(idx, minlength=n_windows))
-
-
-def allan_factor(cp: CountingProcess) -> float:
-    """Allan factor of a counting process.
-
-    Mean squared difference of adjacent counts divided by twice the mean
-    count.  Undefined (raises) when the mean count is zero.
-    """
-    counts = cp.counts
-    if counts.size < 2:
-        raise ValueError("need at least two counting windows")
-    mean = counts.mean()
-    if mean == 0:
-        raise ValueError("mean count is zero; Allan factor undefined")
-    # Integer dot: exact, and unlike a float ``d @ d`` it does not
-    # dispatch to multithreaded BLAS.
-    d = np.diff(counts)
-    return float((np.dot(d, d) / (counts.size - 1)) / (2.0 * mean))
 
 
 def _kept_events(flat: np.ndarray, row_bounds: np.ndarray, keep: np.ndarray,
@@ -268,7 +202,8 @@ def _af_grid(times: np.ndarray, window_start: float, duration: float,
     of events.  Returns a (rows, taus) array, NaN where the factor is
     undefined: the window must hold two complete counting windows and at
     least two events of the row must fall inside them (a lone event has
-    no count structure to difference).
+    no count structure to difference).  Each defined value has the bits
+    of the oracle ``allan_factor(window_counts(pp, tau))`` on its row.
 
     Two exact counting regimes, chosen per tau from the event count n
     and the number W of complete counting windows:
@@ -425,6 +360,8 @@ def _tau_grid(taus, dt: float) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau grid must be a non-empty 1-D array")
+    if not np.isfinite(taus).all():
+        raise ValueError("tau grid must be finite")
     if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be positive and strictly ascending")
     if np.any(taus < dt):

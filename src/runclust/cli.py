@@ -52,8 +52,6 @@ _ANALYSIS_FLAGS = {
     "tau_hi": ("--tau-hi", dict(type=float, metavar="SECONDS")),
     "tau_points": ("--tau-points", dict(type=int, metavar="N")),
     "n_surrogates": ("--n-surrogates", dict(type=int, metavar="N")),
-    "band_lo": ("--band-lo", dict(type=float, metavar="Q")),
-    "band_hi": ("--band-hi", dict(type=float, metavar="Q")),
     "dt": ("--dt", dict(type=float, metavar="SECONDS")),
     "workers": ("--workers", dict(type=int, metavar="N")),
 }
@@ -115,7 +113,10 @@ def _cmd_batch(parser: _Parser, args) -> int:
     return 3 if summary["partial"] else 0
 
 
-def _synth_spec(parser: _Parser, args) -> SynthSpec:
+def _synthesize(parser: _Parser, args):
+    """The event list ``synth`` writes, or with ``--series`` its sampled
+    series.  synth reads no input, so a parameter the generator rejects
+    is a usage error."""
     def need(*names):
         missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
         if missing:
@@ -126,42 +127,42 @@ def _synth_spec(parser: _Parser, args) -> SynthSpec:
     try:
         if args.kind == "poisson":
             need("rate")
-            return SynthSpec.poisson(rate=args.rate, **common)
-        if args.kind == "periodic":
+            spec = SynthSpec.poisson(rate=args.rate, **common)
+        elif args.kind == "periodic":
             need("period")
-            return SynthSpec.periodic(period=args.period, phase=args.phase,
+            spec = SynthSpec.periodic(period=args.period, phase=args.phase,
                                       **common)
-        if args.kind == "mixed_periodic":
+        elif args.kind == "mixed_periodic":
             need("period1", "period2")
-            return SynthSpec.mixed_periodic(period1=args.period1,
+            spec = SynthSpec.mixed_periodic(period1=args.period1,
                                             period2=args.period2,
                                             phase1=args.phase, **common)
-        if args.kind == "fractal_renewal":
+        elif args.kind == "fractal_renewal":
             need("af-exponent")
-            return SynthSpec.fractal_renewal(af_exponent=args.af_exponent,
+            spec = SynthSpec.fractal_renewal(af_exponent=args.af_exponent,
                                              min_gap=args.min_gap, **common)
-        need("cluster-rate", "in-cluster-rate", "mean-cluster-size")
-        return SynthSpec.bursty(cluster_rate=args.cluster_rate,
-                                in_cluster_rate=args.in_cluster_rate,
-                                mean_cluster_size=args.mean_cluster_size,
-                                **common)
+        else:
+            need("cluster-rate", "in-cluster-rate", "mean-cluster-size")
+            spec = SynthSpec.bursty(cluster_rate=args.cluster_rate,
+                                    in_cluster_rate=args.in_cluster_rate,
+                                    mean_cluster_size=args.mean_cluster_size,
+                                    **common)
+        if args.series:
+            return generate_series(spec, dt=args.dt, base_level=args.base_level,
+                                   extreme_level=args.extreme_level)[0]
+        return generate(spec)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_synth(parser: _Parser, args) -> int:
-    spec = _synth_spec(parser, args)
-    out = Path(args.out)
+    made, out = _synthesize(parser, args), Path(args.out)
     if args.series:
-        series, _ = generate_series(spec, dt=args.dt,
-                                    base_level=args.base_level,
-                                    extreme_level=args.extreme_level)
-        write_series(series, out)
-        print(f"wrote {out} ({series.n_samples} samples)")
+        write_series(made, out)
+        print(f"wrote {out} ({made.n_samples} samples)")
     else:
-        pp = generate(spec)
-        write_events(pp, out)
-        print(f"wrote {out} ({pp.n_events} events)")
+        write_events(made, out)
+        print(f"wrote {out} ({made.n_events} events)")
     return 0
 
 
@@ -174,8 +175,7 @@ def _cmd_af(parser: _Parser, args) -> int:
     try:
         grid = TauGridSpec(args.tau_lo, args.tau_hi, args.tau_points)
         if args.n_surrogates:
-            surrogates = SurrogateConfig(args.seed, args.n_surrogates,
-                                         (args.band_lo, args.band_hi))
+            surrogates = SurrogateConfig(args.seed, args.n_surrogates)
     except ValueError as exc:
         parser.error(str(exc))
     pp = read_events(args.events)
@@ -272,8 +272,6 @@ def _make_parser() -> _Parser:
     p.add_argument("--n-surrogates", type=int, default=0, metavar="N",
                    help="surrogate band size (0 disables the band)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--band-lo", type=float, default=SurrogateConfig.band[0])
-    p.add_argument("--band-hi", type=float, default=SurrogateConfig.band[1])
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_af, parser=p)
 

@@ -47,7 +47,7 @@ from .runs import MarkedPointProcess, _atomic_write_text, _thresholds, \
     extract_runs, filter_by_min_length, write_events
 from .stats import RunLengthDensity, average_density, interevent_times, \
     mean_interevent_time, run_length_density
-from .surrogates import _MIN_EVENTS, SurrogateConfig, cell_bands
+from .surrogates import _MIN_EVENTS, BAND, SurrogateConfig, cell_bands
 
 __all__ = [
     "AnalysisConfig",
@@ -69,13 +69,17 @@ _KINDS = {int: (numbers.Integral, "an integer"),
 
 def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
     """Raise TypeError naming config key ``key`` unless ``value`` is of
-    ``kind`` (``int`` or ``float``), or ``None`` and ``optional``."""
+    ``kind`` (``int`` or ``float``), or ``None`` and ``optional``; raise
+    ValueError if a ``float`` value is not finite."""
     if optional and value is None:
         return
     accepted, name = _KINDS[kind]
     if not isinstance(value, accepted) or isinstance(value, bool):
         raise TypeError(f"{key} must be {name}{' or null' if optional else ''}, "
                         f"got {value!r}")
+    # NaN fails the comparison; math.isfinite would overflow on a huge int.
+    if kind is float and not -math.inf < value < math.inf:
+        raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 def _check_list(key: str, values, kind: type) -> None:
@@ -123,7 +127,7 @@ class TauGridSpec:
         ratio, last = hi / lo, self.points - 1
         grid = np.array([lo] + [lo * ratio ** (i / last) for i in range(1, last)]
                         + [hi])
-        if np.any(np.diff(grid) <= 0):
+        if not np.all(np.diff(grid) > 0):
             raise ValueError(f"tau grid of {self.points} points from {lo:g} s "
                              f"to {hi:g} s is not strictly ascending")
         return grid
@@ -159,16 +163,17 @@ class AnalysisConfig:
     The method itself is fixed, not configured: a cell with fewer than
     3 events, the fewest the surrogate bands take, is recorded as
     ``insufficient_events``; thresholds need 100 non-missing samples;
-    departures are read above :data:`~runclust.allan.DP_CUTOFF`; and
-    every cell with a curve gets the power-law fit.
+    bands span the 2.5% to 97.5% quantiles; departures are read above
+    :data:`~runclust.allan.DP_CUTOFF`; and every cell with a curve gets
+    the power-law fit.
 
-    The tau grid, ``n_surrogates`` and ``band`` take their defaults from
+    The tau grid and ``n_surrogates`` take their defaults from
     :class:`TauGridSpec` and :class:`SurrogateConfig`.  Every value is
     checked here, before any input is read: first its type, naming its
-    :meth:`as_mapping` key, then its range; the seed, surrogate count
-    and band by building the :class:`SurrogateConfig` each cell builds,
-    and the tau grid's edges against ``dt``, the sampling step every
-    station is parsed with.
+    :meth:`as_mapping` key, then its range; the seed and surrogate count
+    by building the :class:`SurrogateConfig` each cell builds, and the
+    tau grid's edges against ``dt``, the sampling step every station is
+    parsed with.
     """
 
     seed: int
@@ -177,7 +182,6 @@ class AnalysisConfig:
     min_run_lengths: tuple[int, ...] = tuple(range(1, 31))
     tau_grid: TauGridSpec = TauGridSpec()
     n_surrogates: int = SurrogateConfig.n_surrogates
-    band: tuple[float, float] = SurrogateConfig.band
     dt: float = 600.0
     workers: int | None = None
 
@@ -188,13 +192,9 @@ class AnalysisConfig:
         _check_list("min_run_lengths", self.min_run_lengths, int)
         if not isinstance(self.tau_grid, TauGridSpec):
             raise TypeError("tau_grid must be a TauGridSpec")
-        if not isinstance(self.band, (list, tuple)) or len(self.band) != 2:
-            raise TypeError(f"band must be a pair of levels, got {self.band!r}")
         for key, value, kind in (
                 ("seed", self.seed, int),
                 ("n_surrogates", self.n_surrogates, int),
-                ("band_lo", self.band[0], float),
-                ("band_hi", self.band[1], float),
                 ("dt", self.dt, float)):
             _check_type(key, value, kind)
         _check_type("workers", self.workers, int, optional=True)
@@ -215,7 +215,7 @@ class AnalysisConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         self.tau_grid._edges(self.dt, math.inf)
-        SurrogateConfig(self.seed, self.n_surrogates, self.band)
+        SurrogateConfig(self.seed, self.n_surrogates)
         object.__setattr__(self, "output_dir", str(self.output_dir))
         object.__setattr__(self, "percentiles", tuple(float(p) for p in self.percentiles))
         object.__setattr__(self, "min_run_lengths",
@@ -223,12 +223,10 @@ class AnalysisConfig:
 
     def as_mapping(self) -> dict:
         """Flat mapping of the effective configuration, for echoing: one
-        key per field, with the tau grid and the band spelled out."""
+        key per field, with the tau grid spelled out."""
         mapping = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         grid = mapping.pop("tau_grid")
-        band_lo, band_hi = mapping.pop("band")
-        mapping.update(tau_lo=grid.lo, tau_hi=grid.hi, tau_points=grid.points,
-                       band_lo=band_lo, band_hi=band_hi)
+        mapping.update(tau_lo=grid.lo, tau_hi=grid.hi, tau_points=grid.points)
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in mapping.items()}
 
@@ -247,8 +245,7 @@ class AnalysisConfig:
         values.update(mapping)
         grid = TauGridSpec(values.pop("tau_lo"), values.pop("tau_hi"),
                            values.pop("tau_points"))
-        band = (values.pop("band_lo"), values.pop("band_hi"))
-        return cls(tau_grid=grid, band=band, **values)
+        return cls(tau_grid=grid, **values)
 
 
 def derive_cell_seed(master_seed: int, station_id: str, percentile: float,
@@ -301,7 +298,7 @@ def _evaluate_cell(task: dict) -> dict:
         "seed_master": config.seed,
         "seed_cell": task["seed_cell"],
         "n_surrogates": config.n_surrogates,
-        "band": list(config.band),
+        "band": list(BAND),
         "estimators": {"quantile": "linear", "std": "population"},
     }
     tables, dp = {}, []
@@ -312,9 +309,7 @@ def _evaluate_cell(task: dict) -> dict:
             density = run_length_density(pp)
             intervals = interevent_times(pp)
             cv_band, lv_band, band = cell_bands(
-                pp, task["taus"], SurrogateConfig(seed=task["seed_cell"],
-                                                  n_surrogates=config.n_surrogates,
-                                                  band=config.band))
+                pp, task["taus"], SurrogateConfig(task["seed_cell"], config.n_surrogates))
             curve = _curve_with_reasons(band.taus, band.observed, pp.duration)
             dp = departure(curve, band)
 

@@ -1,11 +1,12 @@
 """Poissonian surrogates and Monte-Carlo confidence bands.
 
-A surrogate keeps the event count, observation window and mark multiset
-of the original process but redraws the event times as i.i.d. uniforms
-over the window, which is a homogeneous Poisson process conditioned on
-its count.  Comparing an observed statistic against the band spanned by
-many surrogates turns it into a significance test: values above the
-band mean clustering, values below mean quasi-periodicity.
+A surrogate keeps the event count and observation window of the
+original process but redraws the event times, all the statistics read,
+as i.i.d. uniforms over the window: a homogeneous Poisson process
+conditioned on its count.  Comparing an observed statistic against the
+band spanned by many surrogates, always from its 2.5% to its 97.5%
+quantile (:data:`BAND`), turns it into a significance test: values
+above the band mean clustering, values below mean quasi-periodicity.
 
 Every band comes from one sweep, :func:`cell_bands`, which evaluates
 Cv, Lv and the Allan factor on blocks of surrogates, one surrogate per
@@ -29,7 +30,6 @@ surrogate; the streams are the same bits.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +43,28 @@ __all__ = [
     "ScalarBand",
     "SurrogateConfig",
     "cell_bands",
-    "poisson_surrogate",
     "surrogate_rng",
 ]
 
 _MAX_SEED = 2 ** 64
 _MIN_EVENTS = 3   # the fewest a sweep takes: Cv and Lv need two intervals
 
+# The quantile levels of every band's lower and upper edge.
+BAND = (0.025, 0.975)
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
-    """How many surrogates to draw, from which seed, and the band levels."""
+    """How many surrogates to draw, and from which seed."""
 
     seed: int
     n_surrogates: int = 1000
-    band: tuple[float, float] = (0.025, 0.975)
 
     def __post_init__(self):
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n_surrogates < 2:
             raise ValueError("need at least 2 surrogates for a band")
-        lo, hi = self.band
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError("band levels must satisfy 0 < lo < hi < 1")
 
 
 def surrogate_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -108,24 +106,6 @@ def _sorted_uniform(rng: np.random.Generator, n: int, start: float,
         times.sort()
         if not np.any(times[1:] == times[:-1]):
             return times
-
-
-def poisson_surrogate(pp: MarkedPointProcess, seed: int,
-                      stream: int = 0) -> MarkedPointProcess:
-    """One Poissonian surrogate of a marked point process.
-
-    Draws exactly ``pp.n_events`` times i.i.d. uniformly over the
-    window, sorts them, and pairs them with a uniformly random
-    permutation of the original marks.  Deterministic given
-    ``(seed, stream)``.
-    """
-    if pp.n_events < 2:
-        raise ValueError("need at least 2 events to build a surrogate")
-    rng = surrogate_rng(seed, stream)
-    times = _sorted_uniform(rng, pp.n_events, pp.window_start,
-                            pp.window_end - pp.window_start)
-    lengths = rng.permutation(pp.lengths)
-    return dataclasses.replace(pp, times=times, lengths=lengths, dt=0.0)
 
 
 @dataclass(frozen=True)
@@ -185,18 +165,18 @@ class AfBand:
             object.__setattr__(self, name, arr)
 
 
-def _band_edges(samples: np.ndarray, band: tuple[float, float]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Lower and upper band edges and the count of defined (finite) values
-    # of every column of a (surrogates, statistics) matrix.  One quantile
+def _band_edges(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    # The BAND quantiles and the count of defined (finite) values of
+    # every column of a (surrogates, statistics) matrix.  One quantile
     # call serves every column; a column holding any NaN comes back NaN
     # from it, so a column that is defined on some surrogates but not all
     # is taken again over its defined values alone.
     defined = np.isfinite(samples)
     n_samples = defined.sum(axis=0)
-    lo, hi = np.quantile(samples, band, axis=0, method="linear")
+    lo, hi = np.quantile(samples, BAND, axis=0, method="linear")
     for j in np.flatnonzero((n_samples > 0) & (n_samples < samples.shape[0])):
-        lo[j], hi[j] = np.quantile(samples[defined[:, j], j], band,
+        lo[j], hi[j] = np.quantile(samples[defined[:, j], j], BAND,
                                    method="linear")
     return lo, hi, n_samples
 
@@ -206,8 +186,9 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
                ) -> tuple[ScalarBand, ScalarBand, AfBand]:
     """Cv band, Lv band and Allan-factor band from one surrogate sweep.
 
-    Surrogate i is stream i of the configured seed, with the same times
-    as ``poisson_surrogate(pp, config.seed, i)``.  Surrogates are drawn
+    Surrogate i is stream i of the configured seed: ``pp.n_events``
+    sorted i.i.d. uniform times on the observation window, drawn from
+    ``surrogate_rng(config.seed, i)``.  Surrogates are drawn
     into blocks of about ``_BLOCK_EVENTS`` event times and evaluated a
     block at a time, so memory stays bounded however many surrogates
     are asked for; a surrogate's values do not depend on the block it
@@ -218,7 +199,7 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
     :func:`~runclust.allan.af_curve` give it alone.
 
     Each process fills one row of a sample matrix: Cv, Lv, then the
-    Allan factor at each tau.  Every band edge is the configured
+    Allan factor at each tau.  Every band edge is the :data:`BAND`
     quantile of its column over the surrogate rows, with the same
     rank-interpolation estimator used for thresholds, taken for all
     columns in one pass.  At each tau, surrogates whose Allan factor is
@@ -249,7 +230,7 @@ def cell_bands(pp: MarkedPointProcess, taus: np.ndarray,
         samples[lo:hi, 0], samples[lo:hi, 1] = _dispersion_rows(
             np.diff(part, axis=1))
         samples[lo:hi, 2:] = _af_grid(part, pp.window_start, pp.duration, taus)
-    lower, upper, n_samples = _band_edges(samples[1:], config.band)
+    lower, upper, n_samples = _band_edges(samples[1:])
 
     cv_band, lv_band = (
         ScalarBand(statistic=name, observed=value, lo=lo, hi=hi,

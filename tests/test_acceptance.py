@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from runclust import (AfCurve, AnalysisConfig, CountingProcess,
-                      MarkedPointProcess, SampledSeries, SurrogateConfig,
-                      SynthSpec, ThresholdSpec, af_curve, allan_factor,
-                      cell_bands, coefficient_of_variation,
+from oracles import naive_runs
+from runclust import (AfCurve, AnalysisConfig, MarkedPointProcess,
+                      SampledSeries, SurrogateConfig, SynthSpec, ThresholdSpec,
+                      af_curve, cell_bands, coefficient_of_variation,
                       compute_threshold, extract_runs, fit_power_law,
                       generate, generate_series, interevent_times,
                       local_coefficient_of_variation, run_station,
@@ -38,34 +38,18 @@ def report(capsys, name, ok, detail):
         print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def naive_runs(values, missing, threshold):
-    """Reference scanner: one sample at a time, no vectorization."""
-    events = []
-    start = None
-    length = 0
-    for k in range(len(values)):
-        above = (not missing[k]) and values[k] > threshold
-        if above:
-            if start is None:
-                start = k
-                length = 1
-            else:
-                length += 1
-        elif start is not None:
-            events.append((start, length))
-            start = None
-            length = 0
-    if start is not None:
-        events.append((start, length))
-    return events
-
-
 def test_exact_formula_suite(capsys):
     t0 = time.perf_counter()
     cv = coefficient_of_variation(np.array([1.0, 3.0]))
     lv = local_coefficient_of_variation(np.array([1.0, 3.0]))
-    af_step = allan_factor(CountingProcess(tau=1.0, counts=[0, 2]))
-    af_flat = allan_factor(CountingProcess(tau=1.0, counts=[3, 3, 3, 3]))
+    # Counts [0, 2] and [3, 3, 3, 3] in windows of 1 s.
+    af_step, = af_curve(MarkedPointProcess(
+        times=[1.25, 1.5], lengths=[1, 1], window_start=0.0, window_end=2.0,
+        dt=0.0), [1.0]).af.tolist()
+    af_flat, = af_curve(MarkedPointProcess(
+        times=(np.arange(4)[:, None] + [0.1, 0.2, 0.3]).ravel(),
+        lengths=np.ones(12, int),
+        window_start=0.0, window_end=4.0, dt=0.0), [1.0]).af.tolist()
     elapsed = time.perf_counter() - t0
 
     ok = (abs(cv - 0.5) < 1e-12 and abs(lv - 0.75) < 1e-12

@@ -1,14 +1,14 @@
-"""Tests for counting processes, Allan factor curves, fits and departures."""
+"""Tests for window counts, Allan factor curves, fits and departures."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import allan_factor, reference_af, window_counts
 from runclust import allan
-from runclust import AfCurve, CountingProcess, DP_CUTOFF, MarkedPointProcess, \
-    TauGridSpec, af_curve, allan_factor, counting_process, default_fit_range, \
-    departure, fit_power_law
+from runclust import AfCurve, DP_CUTOFF, MarkedPointProcess, TauGridSpec, \
+    af_curve, default_fit_range, departure, fit_power_law
 from runclust.surrogates import AfBand, SurrogateConfig, cell_bands, \
     surrogate_rng
 from runclust.synth import SynthSpec, generate
@@ -22,49 +22,39 @@ def make_pp(times, window, dt=0.0):
 
 
 def test_counting_process_hand_binning():
-    cp = counting_process(make_pp([0.0, 100.0, 700.0], 1200.0), 600.0)
-    assert cp.counts.tolist() == [2, 1]
-    assert cp.n_windows == 2
+    assert window_counts(make_pp([0.0, 100.0, 700.0], 1200.0),
+                         600.0).tolist() == [2, 1]
 
 
 def test_counting_process_no_events():
-    cp = counting_process(make_pp([], 1200.0), 600.0)
-    assert cp.counts.tolist() == [0, 0]
+    assert window_counts(make_pp([], 1200.0), 600.0).tolist() == [0, 0]
 
 
 def test_counting_process_trailing_partial_dropped():
     # Window 0-1500 at tau 600 tiles two complete windows; the event at
     # 1300 falls past them and is dropped.
-    cp = counting_process(make_pp([0.0, 100.0, 700.0, 1300.0], 1500.0), 600.0)
-    assert cp.counts.tolist() == [2, 1]
-
-
-def test_counting_process_errors():
-    pp = make_pp([0.0, 100.0], 1200.0)
-    with pytest.raises(ValueError, match="two counting windows"):
-        counting_process(pp, 1200.0)
-    with pytest.raises(ValueError, match="positive"):
-        counting_process(pp, 0.0)
-    grid = make_pp([0.0, 1200.0], 6000.0, dt=600.0)
-    with pytest.raises(ValueError, match="sampling step"):
-        counting_process(grid, 300.0)
+    pp = make_pp([0.0, 100.0, 700.0, 1300.0], 1500.0)
+    assert window_counts(pp, 600.0).tolist() == [2, 1]
 
 
 def test_allan_factor_hand_values():
-    assert allan_factor(CountingProcess(tau=1.0, counts=[3, 3, 3, 3])) == 0.0
-    assert abs(allan_factor(CountingProcess(tau=1.0, counts=[0, 2])) - 2.0) < 1e-12
-    with pytest.raises(ValueError, match="mean count is zero"):
-        allan_factor(CountingProcess(tau=1.0, counts=[0, 0]))
-    with pytest.raises(ValueError, match="two counting windows"):
-        allan_factor(CountingProcess(tau=1.0, counts=[3]))
+    # Counts [3, 3, 3, 3] and [0, 2], by the oracle and by the curve.
+    flat = make_pp([0.1, 0.2, 0.3, 1.1, 1.2, 1.3, 2.1, 2.2, 2.3, 3.1, 3.2, 3.3],
+                   4.0)
+    step = make_pp([1.25, 1.5], 2.0)
+    assert allan_factor([3, 3, 3, 3]) == 0.0
+    assert abs(allan_factor([0, 2]) - 2.0) < 1e-12
+    assert af_curve(flat, [1.0]).af.tolist() == [0.0]
+    assert af_curve(step, [1.0]).af.tolist() == [allan_factor([0, 2])]
 
 
 def test_allan_factor_poisson_flat():
     # 1e5 counting windows of mean count 1.
     pp = generate(SynthSpec.poisson(rate=0.01, window=1.0e7, seed=61))
-    cp = counting_process(pp, 100.0)
-    assert cp.n_windows == 100_000
-    assert abs(allan_factor(cp) - 1.0) < 0.05
+    counts = window_counts(pp, 100.0)
+    assert counts.size == 100_000
+    assert abs(allan_factor(counts) - 1.0) < 0.05
+    assert af_curve(pp, [100.0]).af.tolist() == [allan_factor(counts)]
 
 
 def test_allan_factor_mark_invariance():
@@ -92,12 +82,8 @@ def test_af_curve_matches_scalar_definition():
         pp = make_pp(times, 1e6)
         taus = np.geomspace(50.0, 4e5, 25)
         curve = af_curve(pp, taus)
-        for tau, value in zip(curve.taus, curve.af):
-            cp = counting_process(pp, tau)
-            if cp.counts.sum() >= 2:
-                assert value == allan_factor(cp)
-            else:
-                assert np.isnan(value)
+        expected = [reference_af(pp, tau) for tau in curve.taus]
+        assert np.array_equal(curve.af, expected, equal_nan=True)
 
 
 def test_af_curve_window_edges_exact():
@@ -123,7 +109,7 @@ def test_af_curve_window_edges_exact():
         curve = af_curve(pp, np.asarray(taus))
         assert curve.n_defined == len(taus)
         for tau, value in zip(curve.taus, curve.af):
-            assert value == allan_factor(counting_process(pp, tau))
+            assert value == reference_af(pp, tau)
 
 
 def test_af_curve_edge_regime_exact():
@@ -166,7 +152,7 @@ def test_af_curve_edge_regime_exact():
             assert curve.n_defined == taus.size
             for tau, value in zip(curve.taus, curve.af):
                 assert pp.n_events > allan._EDGE_EVENTS_PER_WINDOW * (pp.duration // tau)
-                assert value == allan_factor(counting_process(pp, tau))
+                assert value == reference_af(pp, tau)
 
 
 def test_af_curve_edge_regime_allocates_no_process_copy():
@@ -188,26 +174,16 @@ def test_af_curve_edge_regime_allocates_no_process_copy():
     assert peak < pp.n_events
 
 
-def _reference_af(times, window, tau, start=0.0):
-    # allan_factor(counting_process(...)) of one row, NaN where the curve
-    # leaves the point undefined.
-    pp = MarkedPointProcess(times=times, lengths=np.ones(len(times), dtype=int),
-                            window_start=start, window_end=start + window,
-                            dt=0.0)
-    try:
-        cp = counting_process(pp, tau)
-    except ValueError:
-        return np.nan
-    return allan_factor(cp) if cp.counts.sum() >= 2 else np.nan
-
-
 def _assert_rows_exact(block, start, window, taus):
     # Every row of the block gets the bits of the two-step definition on
     # that row alone, and of its own one-row block.
     af = allan._af_grid(block, start, window, taus)
     assert af.shape == (block.shape[0], taus.size)
     for r, row in enumerate(block):
-        expected = [_reference_af(row, window, tau, start) for tau in taus]
+        pp = MarkedPointProcess(times=row, lengths=np.ones(row.size, dtype=int),
+                                window_start=start, window_end=start + window,
+                                dt=0.0)
+        expected = [reference_af(pp, tau) for tau in taus]
         assert np.array_equal(af[r], expected, equal_nan=True), r
         alone = allan._af_grid(block[r:r + 1], start, window, taus)
         assert np.array_equal(alone[0], af[r], equal_nan=True), r
@@ -452,17 +428,27 @@ def test_af_curve_grid_validation():
         cell_bands(grid_pp, np.array([1200.0, 600.0]), config)
 
 
+def test_af_grid_rejects_non_finite_taus():
+    # A NaN difference is never <= 0, so a NaN or infinite tau passes
+    # every check of the grid's order; the curve and the sweep refuse it
+    # before any count.
+    pp = make_pp([10.0, 20.0, 400.0], 1000.0)
+    config = SurrogateConfig(seed=1, n_surrogates=2)
+    for taus in ([100.0, np.inf], [np.nan], [100.0, np.nan, 200.0]):
+        with pytest.raises(ValueError, match="tau grid must be finite"):
+            af_curve(pp, np.array(taus))
+        with pytest.raises(ValueError, match="tau grid must be finite"):
+            cell_bands(pp, np.array(taus), config)
+
+
 def test_grid_doubling_consistency():
     rng = surrogate_rng(79)
     times = np.sort(rng.random(400)) * 96_000.0
     pp = make_pp(times, 96_000.0)
     tau = 1000.0
-    cp = counting_process(pp, tau)
-    cp2 = counting_process(pp, 2 * tau)
-    paired = cp.counts.reshape(-1, 2).sum(axis=1)
-    assert np.array_equal(cp2.counts, paired)
-    assert allan_factor(cp2) == allan_factor(CountingProcess(tau=2 * tau,
-                                                             counts=paired))
+    paired = window_counts(pp, tau).reshape(-1, 2).sum(axis=1)
+    assert np.array_equal(window_counts(pp, 2 * tau), paired)
+    assert af_curve(pp, [2 * tau]).af.tolist() == [allan_factor(paired)]
 
 
 def test_default_tau_grid():

@@ -187,7 +187,6 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
             "--percentiles", "0.95", "--min-run-lengths", "1",
             "--tau-points", "10", "--n-surrogates", "16"]
     cases = [
-        (["--band-lo", "0.9", "--band-hi", "0.1"], "0 < lo < hi < 1"),
         (["--n-surrogates", "1"], "at least 2 surrogates"),
         (["--n-surrogates", "0"], "at least 2 surrogates"),
         (["--seed", "-1"], "64-bit unsigned integer"),
@@ -212,6 +211,36 @@ def test_analyze_bad_config_values_exit_1_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_values_exit_1_before_reading(tmp_path, capsys):
+    # An infinite tau grid edge would resolve to NaN taus, written as
+    # empty cells, and config.json would write it as null, so the config
+    # would not reproduce the tree; an infinite step would end in a
+    # misleading data error.  The station and event files do not exist:
+    # reading either would exit 2.
+    ghost = str(tmp_path / "ghost.csv")
+    out = tmp_path / "out"
+    base = ["analyze", ghost, "--out", str(out), "--seed", "1"]
+    cases = [
+        (base + ["--tau-hi", "inf"], "tau_hi must be finite, got inf"),
+        (base + ["--tau-lo", "inf"], "tau_lo must be finite, got inf"),
+        (base + ["--tau-hi", "nan"], "tau_hi must be finite, got nan"),
+        (base + ["--dt", "inf", "--tau-points", "1"],
+         "dt must be finite, got inf"),
+        (["batch", str(tmp_path), ghost, "--out", str(out), "--seed", "1",
+          "--tau-hi", "inf"], "tau_hi must be finite, got inf"),
+        (["af", ghost, "--tau-lo", "1000", "--tau-hi", "inf"],
+         "tau_hi must be finite, got inf"),
+    ]
+    # JSON can spell a non-finite value in a config file.
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"tau_hi": Infinity, "dt": NaN}')
+    cases.append((base + ["--config", str(cfg)], "must be finite"))
+    for argv, message in cases:
+        assert call(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
 def test_analyze_mistyped_config_values_exit_1_naming_the_key(tmp_path, capsys):
     # The station file does not exist: a config error must stop the run
     # before any input is read, which would exit 2.
@@ -222,17 +251,16 @@ def test_analyze_mistyped_config_values_exit_1_naming_the_key(tmp_path, capsys):
              ({"workers": True}, "workers must be an integer or null"),
              ({"n_surrogates": 16.0}, "n_surrogates must be an integer"),
              ({"dt": True}, "dt must be a real number"),
-             ({"band_lo": "0.1"}, "band_lo must be a real number"),
              ({"tau_points": 2.5}, "tau_points must be an integer"),
              ({"tau_lo": "a"}, "tau_lo must be a real number or null"),
              ({"percentiles": 0.95}, "percentiles must be a list"),
              ({"min_run_lengths": [1, 2.5]}, "min_run_lengths must be an integer"),
              ({"output_dir": 3}, "output_dir must be a path")]
-    # The departure cutoff, the event and sample floors and the fit are
-    # the method's constants, not config keys.
+    # The departure cutoff, the event and sample floors, the fit and the
+    # band levels are the method's constants, not config keys.
     cases += [({key: value}, "unknown config keys") for key, value in (
         ("dp_cutoff", 12000.0), ("min_events", 3), ("threshold_floor", 100),
-        ("fit", True))]
+        ("fit", True), ("band_lo", 0.025), ("band_hi", 0.975))]
     for values, message in cases:
         cfg.write_text(json.dumps({"output_dir": str(out), **values}))
         assert call(["analyze", str(station), "--config", str(cfg),
@@ -315,13 +343,27 @@ def test_synth_usage_errors_exit_1(tmp_path, capsys):
     assert "calibrated range" in err
 
 
-def test_synth_render_collision_exits_2(tmp_path, capsys):
-    # period equal to dt puts every event on an adjacent slot
-    code = call(["synth", "periodic", "--seed", "1", "--period", "600",
-                 "--window", "60000", "--series", "--dt", "600",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "events collide on the sampling grid" in capsys.readouterr().err
+def test_synth_parameter_errors_exit_1(tmp_path, capsys):
+    # synth reads no input, so a parameter the generator rejects is a
+    # usage error, not a data error.
+    out = tmp_path / "x.csv"
+    base = ["synth", "periodic", "--seed", "1", "--out", str(out)]
+    cases = [
+        (["--period", "60000", "--series", "--dt", "0"], "dt must be positive"),
+        (["--period", "60000", "--series", "--dt", "700"],
+         "window must be a positive multiple of dt"),
+        (["--period", "100", "--window", "6e6", "--series"],
+         "events collide on the sampling grid"),
+        # A period equal to dt puts every event on an adjacent slot.
+        (["--period", "600", "--window", "60000", "--series", "--dt", "600"],
+         "events collide on the sampling grid"),
+    ]
+    for extra, message in cases:
+        assert call(base + extra) == 1, extra
+        err = capsys.readouterr().err
+        assert f"runclust synth: error: {message}" in err, extra
+        assert "data error" not in err, extra
+        assert not out.exists(), extra
 
 
 def test_af_prints_curve_and_interval_stats(tmp_path, capsys):
@@ -411,9 +453,6 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
                  "--tau-hi", "1200"]) == 1
     assert call(["af", str(events)] + grid +
                 ["--n-surrogates", "10", "--seed", "-1"]) == 1
-    assert call(["af", str(events)] + grid +
-                ["--n-surrogates", "10", "--seed", "4",
-                 "--band-lo", "0.9", "--band-hi", "0.1"]) == 1
     err = capsys.readouterr().err
     assert "--seed is required" in err
     assert "must be 0 or at least 2" in err
@@ -422,7 +461,6 @@ def test_af_usage_errors_exit_1(tmp_path, capsys):
     assert "hi must be >= lo" in err
     assert "tau grid of 60 points needs hi > lo" in err
     assert "64-bit unsigned integer" in err
-    assert "0 < lo < hi < 1" in err
 
     for extra in (["--n-surrogates", "-3"], ["--n-surrogates", "-1", "--seed", "4"]):
         assert call(["af", str(events)] + grid + extra) == 1, extra
@@ -647,6 +685,8 @@ def test_batch_data_errors_exit_2(tmp_path, capsys):
 
 
 def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
+    # The band levels are the method's constants: a band flag is an
+    # unknown option.
     stations = tmp_path / "stations"
     stations.mkdir()
     render_station(stations / "alpha.csv")
@@ -658,7 +698,7 @@ def test_batch_bad_band_exits_1_before_writing(tmp_path, capsys):
                  "--min-run-lengths", "1", "--tau-points", "10",
                  "--n-surrogates", "16", "--band-lo", "0.9", "--band-hi", "0.1"])
     assert code == 1
-    assert "0 < lo < hi < 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --band-lo" in capsys.readouterr().err
     assert not (out / "batch.json").exists()
     assert not out.exists()
 
@@ -873,8 +913,6 @@ FLAG_VALUES = {
     "tau_hi": (["9e5"], 9e5),
     "tau_points": (["12"], 12),
     "n_surrogates": (["50"], 50),
-    "band_lo": (["0.05"], 0.05),
-    "band_hi": (["0.9"], 0.9),
     "dt": (["300"], 300.0),
     "workers": (["2"], 2),
 }

@@ -111,8 +111,7 @@ def test_analysis_config_validation(tmp_path):
         small_config(tmp_path, min_run_lengths=(0,))
     with pytest.raises(ValueError, match="workers"):
         small_config(tmp_path, workers=0)
-    for overrides, message in (({"band": (0.9, 0.1)}, "0 < lo < hi < 1"),
-                               ({"n_surrogates": 1}, "at least 2 surrogates"),
+    for overrides, message in (({"n_surrogates": 1}, "at least 2 surrogates"),
                                ({"n_surrogates": 0}, "at least 2 surrogates"),
                                ({"seed": -1}, "64-bit unsigned integer"),
                                ({"dt": 0.0}, "dt must be positive"),
@@ -124,6 +123,14 @@ def test_analysis_config_validation(tmp_path):
                                 "60 points needs hi > lo")):
         with pytest.raises(ValueError, match=message):
             small_config(tmp_path, **overrides)
+    # A real value must be finite: an infinite tau grid edge resolves to
+    # NaN taus, which pass every check of the grid's order.
+    for overrides in ({"dt": np.inf}, {"dt": np.nan}, {"percentiles": (np.nan,)}):
+        with pytest.raises(ValueError, match="must be finite"):
+            small_config(tmp_path, **overrides)
+    for key, value in (("lo", np.inf), ("hi", np.inf), ("hi", np.nan)):
+        with pytest.raises(ValueError, match=f"tau_{key} must be finite"):
+            TauGridSpec(**{key: value})
     # A one-point grid may start at the sampling step and end where it
     # starts.
     small_config(tmp_path, tau_grid=TauGridSpec(lo=600.0, hi=600.0, points=1))
@@ -137,8 +144,6 @@ def test_analysis_config_type_checks(tmp_path):
                                ({"workers": 1.5}, "workers must be an integer"),
                                ({"n_surrogates": None},
                                 "n_surrogates must be an integer"),
-                               ({"band": (0.1, "0.9")}, "band_hi must be a real"),
-                               ({"band": (0.1,)}, "band must be a pair"),
                                ({"percentiles": (0.9, True)},
                                 "percentiles must be a real")):
         with pytest.raises(TypeError, match=message):
@@ -149,28 +154,31 @@ def test_analysis_config_type_checks(tmp_path):
         TauGridSpec(hi="1e5")
     # Integers are real numbers, and numpy scalars are numbers too.
     config = small_config(tmp_path, seed=np.int64(7), dt=600,
-                          band=(np.float64(0.05), 0.95), workers=np.int32(2),
+                          workers=np.int32(2),
                           percentiles=(np.float64(0.95),))
     assert config.as_mapping()["dt"] == 600
 
 
 def test_analysis_config_mapping_round_trip(tmp_path):
     config = small_config(tmp_path, tau_grid=TauGridSpec(lo=1500.0, points=12),
-                          band=(0.05, 0.95), workers=3)
+                          workers=3)
     back = AnalysisConfig.from_mapping(config.as_mapping())
     assert back == config
 
     partial = AnalysisConfig.from_mapping(
-        {"seed": 3, "output_dir": "x", "band_lo": 0.1, "percentiles": [0.9, 0.99]})
-    assert partial == AnalysisConfig(seed=3, output_dir="x", band=(0.1, 0.975),
+        {"seed": 3, "output_dir": "x", "n_surrogates": 50,
+         "percentiles": [0.9, 0.99]})
+    assert partial == AnalysisConfig(seed=3, output_dir="x", n_surrogates=50,
                                      percentiles=(0.9, 0.99))
     assert partial.tau_grid == TauGridSpec()
 
     with pytest.raises(ValueError, match="unknown config keys"):
         AnalysisConfig.from_mapping({"seed": 1, "output_dir": "x", "bogus": 2})
-    # The method's constants are no config keys.
-    assert len(config.as_mapping()) == 12
-    for key in ("dp_cutoff", "min_events", "threshold_floor", "fit"):
+    # The method's constants, the band levels among them, are no config
+    # keys.
+    assert len(config.as_mapping()) == 10
+    for key in ("dp_cutoff", "min_events", "threshold_floor", "fit", "band_lo",
+                "band_hi"):
         with pytest.raises(ValueError, match="unknown config keys"):
             AnalysisConfig.from_mapping({"seed": 1, "output_dir": "x", key: 3})
     with pytest.raises(ValueError, match="requires a seed"):
@@ -434,7 +442,7 @@ def test_run_batch_empty_directory(tmp_path):
 PINNED_TREE = Path(__file__).with_name("data") / "batch_tree.sha256"
 # ``config.json`` at two workers: it records the worker count.
 PINNED_CONFIG_W2 = (
-    "b9e6f1803a5b23aa9a6e69a62f2a663f8f70695ec9337183e759555c601e61b2")
+    "630a7547e2a831ee38b86e1011f101352fc877f4fd2c02028dc9eedae16408cb")
 
 
 def _pinned_batch_tree(workers):

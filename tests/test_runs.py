@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import linear_quantile, naive_runs
 from runclust import runs
 from runclust import MarkedPointProcess, SampledSeries, ThresholdSpec, \
     compute_threshold, extract_runs, filter_by_min_length, read_events, \
     write_events
-from test_surrogates import linear_quantile
 
 T0 = datetime(2010, 1, 1, tzinfo=timezone.utc)
 
@@ -21,28 +21,6 @@ def make_series(values, missing=None, dt=600.0, station_id="S1"):
         missing = np.zeros(values.size, dtype=bool)
     return SampledSeries(station_id=station_id, t0=T0, dt=dt,
                          values=values, missing=np.asarray(missing, dtype=bool))
-
-
-def naive_runs(values, missing, threshold):
-    """Reference scanner: one sample at a time, no vectorization."""
-    events = []
-    start = None
-    length = 0
-    for k in range(len(values)):
-        above = (not missing[k]) and values[k] > threshold
-        if above:
-            if start is None:
-                start = k
-                length = 1
-            else:
-                length += 1
-        elif start is not None:
-            events.append((start, length))
-            start = None
-            length = 0
-    if start is not None:
-        events.append((start, length))
-    return events
 
 
 def test_linear_quantile_hand_values():

@@ -1,14 +1,15 @@
 """Tests for Poissonian surrogates and confidence bands."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import linear_quantile, reference_af, surrogate_times
 from runclust import allan, surrogates
 from runclust import MarkedPointProcess, SurrogateConfig, af_curve, \
-    allan_factor, cell_bands, counting_process, poisson_surrogate, \
-    surrogate_rng
+    cell_bands, surrogate_rng
 from runclust.stats import coefficient_of_variation, interevent_times, \
     local_coefficient_of_variation
 from runclust.synth import SynthSpec, generate
@@ -16,25 +17,6 @@ from runclust.synth import SynthSpec, generate
 
 # A grid for tests that read only the Cv and Lv bands.
 ONE_TAU = np.array([1e4])
-
-
-def linear_quantile(values: np.ndarray, p: float) -> float:
-    """Empirical quantile with linear interpolation between order statistics.
-
-    The quantile sits at one-based rank ``p*(n-1)+1``; fractional ranks
-    interpolate linearly between the two adjacent order statistics.
-    This is numpy's ``method="linear"``, taken one level of one sample
-    at a time: the oracle for the station thresholds
-    (``runs._thresholds``) and the surrogate band edges
-    (``surrogates._band_edges``), which take many levels or columns in
-    one ``np.quantile`` call.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("quantile of an empty sample")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("quantile level must lie in [0, 1]")
-    return float(np.quantile(values, p, method="linear"))
 
 
 def make_pp(seed=83, n=500, window=1e6, mark_q=0.4):
@@ -47,38 +29,23 @@ def make_pp(seed=83, n=500, window=1e6, mark_q=0.4):
 
 
 def test_surrogate_determinism():
+    # A surrogate keeps the event count and lies strictly ascending in
+    # the window; its times depend on the seed and stream alone.
     pp = make_pp()
-    a = poisson_surrogate(pp, 7, stream=3)
-    b = poisson_surrogate(pp, 7, stream=3)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.lengths, b.lengths)
+    times = surrogate_times(pp, 7, 3)
+    assert np.array_equal(times, surrogate_times(pp, 7, 3))
+    assert times.size == pp.n_events and np.all(np.diff(times) > 0)
+    assert times[0] >= pp.window_start and times[-1] < pp.window_end
 
-    seen = {tuple(poisson_surrogate(pp, seed).times[:5]) for seed in range(100)}
+    seen = {tuple(surrogate_times(pp, seed, 0)[:5]) for seed in range(100)}
     assert len(seen) == 100
-
-
-def test_surrogate_preserves_count_window_marks():
-    pp = make_pp()
-    surr = poisson_surrogate(pp, 7)
-    assert surr.n_events == pp.n_events
-    assert surr.window_start == pp.window_start
-    assert surr.window_end == pp.window_end
-    assert np.array_equal(np.sort(surr.lengths), np.sort(pp.lengths))
-    assert np.all(np.diff(surr.times) > 0)
-    assert surr.times[0] >= pp.window_start and surr.times[-1] < pp.window_end
-
-    lonely = MarkedPointProcess(times=[5.0], lengths=[1],
-                                window_start=0.0, window_end=10.0, dt=0.0)
-    with pytest.raises(ValueError, match="at least 2 events"):
-        poisson_surrogate(lonely, 7)
 
 
 def test_surrogate_cv_distribution_mean_near_one():
     pp = make_pp()
     cvs = np.empty(1000)
     for i in range(1000):
-        surr = poisson_surrogate(pp, 7, stream=i)
-        cvs[i] = coefficient_of_variation(np.diff(surr.times))
+        cvs[i] = coefficient_of_variation(np.diff(surrogate_times(pp, 7, i)))
     assert abs(cvs.mean() - 1.0) < 0.05
 
 
@@ -89,8 +56,8 @@ def test_scalar_band_matches_quantile_rule():
 
     samples = np.empty(64)
     for i in range(64):
-        surr = poisson_surrogate(pp, 11, stream=i)
-        samples[i] = local_coefficient_of_variation(np.diff(surr.times))
+        samples[i] = local_coefficient_of_variation(
+            np.diff(surrogate_times(pp, 11, i)))
     assert band.lo == linear_quantile(samples, 0.025)
     assert band.hi == linear_quantile(samples, 0.975)
     assert band.observed == local_coefficient_of_variation(interevent_times(pp))
@@ -125,13 +92,15 @@ def test_scalar_band_validation():
         cell_bands(pp, ONE_TAU, config)
 
 
-def test_band_widening_never_narrows():
+def test_band_widening_never_narrows(monkeypatch):
+    # The band levels are a constant of the method; a narrower pair,
+    # patched in, gives a band inside the one the constant gives.
     pp = make_pp(n=60)
-    narrow, _, _ = cell_bands(pp, ONE_TAU, SurrogateConfig(
-        seed=3, n_surrogates=100, band=(0.1, 0.9)))
-    wide, _, _ = cell_bands(pp, ONE_TAU, SurrogateConfig(
-        seed=3, n_surrogates=100, band=(0.025, 0.975)))
-    assert wide.lo <= narrow.lo and wide.hi >= narrow.hi
+    config = SurrogateConfig(seed=3, n_surrogates=100)
+    wide, _, _ = cell_bands(pp, ONE_TAU, config)
+    monkeypatch.setattr(surrogates, "BAND", (0.1, 0.9))
+    narrow, _, _ = cell_bands(pp, ONE_TAU, config)
+    assert wide.lo < narrow.lo and wide.hi > narrow.hi
 
 
 def test_two_surrogate_band_follows_rank_rule():
@@ -139,7 +108,7 @@ def test_two_surrogate_band_follows_rank_rule():
     config = SurrogateConfig(seed=5, n_surrogates=2)
     band, _, _ = cell_bands(pp, ONE_TAU, config)
     samples = np.sort([coefficient_of_variation(
-        np.diff(poisson_surrogate(pp, 5, stream=i).times)) for i in range(2)])
+        np.diff(surrogate_times(pp, 5, i))) for i in range(2)])
     # One-based rank p*(n-1)+1 with n=2 interpolates just inside min/max.
     assert band.lo == samples[0] + 0.025 * (samples[1] - samples[0])
     assert band.hi == samples[0] + 0.975 * (samples[1] - samples[0])
@@ -176,11 +145,11 @@ def test_af_band_partially_defined_taus_use_defined_values():
     assert band.n_samples[0] == n_surrogates and band.n_samples[2] == 0
     assert 0 < band.n_samples[1] < n_surrogates
 
-    surrogates = [poisson_surrogate(pp, 23, stream=i)
-                  for i in range(n_surrogates)]
+    drawn = [dataclasses.replace(pp, times=surrogate_times(pp, 23, i))
+             for i in range(n_surrogates)]
     for j in (0, 1):
-        processes = [counting_process(s, taus[j]) for s in surrogates]
-        values = [allan_factor(cp) for cp in processes if cp.counts.sum() >= 2]
+        values = [reference_af(s, taus[j]) for s in drawn]
+        values = [v for v in values if not np.isnan(v)]
         assert band.n_samples[j] == len(values)
         assert band.lo[j] == linear_quantile(values, 0.025)
         assert band.hi[j] == linear_quantile(values, 0.975)
@@ -221,7 +190,7 @@ def test_cell_bands_observed_row_matches_curve():
 
 def test_cell_bands_golden():
     # Values pinned from the sweep as first written, which built a full
-    # poisson_surrogate per stream; the bands must not move.
+    # surrogate process per stream; the bands must not move.
     pp = make_pp(n=120)
     taus = np.geomspace(5e3, 1e5, 8)
     config = SurrogateConfig(seed=17, n_surrogates=50)
@@ -239,10 +208,11 @@ def test_cell_bands_golden():
     assert curve_band.n_samples.tolist() == [50] * 8
 
     # Each band edge is the quantile of the reference Allan factor over
-    # the public surrogates, stream by stream.
-    surrogates = [poisson_surrogate(pp, 17, stream=i) for i in range(50)]
+    # the reference surrogates, stream by stream.
+    drawn = [dataclasses.replace(pp, times=surrogate_times(pp, 17, i))
+             for i in range(50)]
     for j, tau in enumerate(taus):
-        values = [allan_factor(counting_process(s, tau)) for s in surrogates]
+        values = [reference_af(s, tau) for s in drawn]
         assert curve_band.lo[j] == linear_quantile(values, 0.025)
         assert curve_band.hi[j] == linear_quantile(values, 0.975)
 
@@ -265,7 +235,7 @@ def test_cell_bands_independent_of_block_size(monkeypatch):
         if straddle:
             assert 2 * n < allan._SKIP_MIN_EVENTS <= 3 * n
         pp = make_pp(n=n)
-        block = np.stack([poisson_surrogate(pp, 19, stream=i).times
+        block = np.stack([surrogate_times(pp, 19, i)
                           for i in range(n_surrogates)])
         whole = allan._af_grid(block, pp.window_start, pp.duration, taus)
         monkeypatch.undo()
@@ -313,8 +283,6 @@ def test_cell_bands_memory_bounded_by_block():
 def test_surrogate_config_validation():
     with pytest.raises(ValueError, match="at least 2 surrogates"):
         SurrogateConfig(seed=1, n_surrogates=1)
-    with pytest.raises(ValueError, match="band levels"):
-        SurrogateConfig(seed=1, n_surrogates=10, band=(0.9, 0.1))
     with pytest.raises(ValueError, match="64-bit"):
         SurrogateConfig(seed=-1, n_surrogates=10)
     with pytest.raises(ValueError, match="64-bit"):
@@ -362,13 +330,13 @@ def test_surrogate_streams_match_surrogate_rng():
     assert redrawn >= 10
 
     # Through the sweep: the Cv band is the quantile rule over the
-    # surrogates poisson_surrogate draws, redraws included.
+    # reference surrogates, redraws included.
     pp = MarkedPointProcess(times=start + np.arange(n) / 128.0,
                             lengths=np.ones(n, dtype=int), window_start=start,
                             window_end=start + span, dt=0.0)
     config = SurrogateConfig(seed=11, n_surrogates=40)
     cv_band, _, _ = cell_bands(pp, ONE_TAU, config)
-    cvs = [coefficient_of_variation(np.diff(poisson_surrogate(pp, 11, i).times))
+    cvs = [coefficient_of_variation(np.diff(surrogate_times(pp, 11, i)))
            for i in range(40)]
     assert cv_band.lo == linear_quantile(cvs, 0.025)
     assert cv_band.hi == linear_quantile(cvs, 0.975)
